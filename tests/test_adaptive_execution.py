@@ -40,7 +40,9 @@ def set_flags(db, reorder=False, adaptive=False, strategy="auto"):
 def assert_identical_with_flags(db, sql, reorder, adaptive, strategy="auto"):
     set_flags(db, reorder, adaptive, strategy)
     try:
-        assert_identical(db, sql)
+        # A pinned nested loop charges its right input's scan first, so
+        # only that strategy compares the per-node dicts unordered.
+        assert_identical(db, sql, ordered=strategy != "nested-loop")
     finally:
         set_flags(db)
 
