@@ -447,6 +447,12 @@ def _fig06_checks(cells: List[Dict[str, Any]]) -> List[Tuple[str, bool]]:
 
 
 # -- scan throughput: plan pipeline vs the legacy floor --------------------------
+#: rows/s every scan cell must exceed.  The row-at-a-time executor ran
+#: 250k-346k rows/s on the machine the baselines were recorded on and the
+#: columnar one 1.7M-3.7M, so a return to the row path fails this floor
+#: while a CI machine 3x slower than that one still clears it.
+SCAN_FLOOR_ROWS_PER_SEC = 500_000
+
 SCAN_QUERIES = {
     "full_scan": "SELECT id, grp, v, name FROM big",
     "filtered_scan": "SELECT id, v FROM big WHERE v > 50.0",
@@ -500,8 +506,9 @@ def _scan_checks(cells: List[Dict[str, Any]]) -> List[Tuple[str, bool]]:
     for cell in done:
         rate = cell["metrics"].get("rows_per_sec", 0)
         checks.append((
-            f"{cell['params']['workload']} above the 20k rows/s smoke floor",
-            rate > 20_000,
+            f"{cell['params']['workload']} above the "
+            f"{SCAN_FLOOR_ROWS_PER_SEC // 1000}k rows/s smoke floor",
+            rate > SCAN_FLOOR_ROWS_PER_SEC,
         ))
     return checks
 
@@ -939,7 +946,7 @@ AREAS: Dict[str, BenchArea] = {
         config={"rows": 20_000, "num_nodes": 4, "repeats": 3},
         checks=_scan_checks,
         # wall-clock metrics are machine-dependent: gate on floors only
-        gate={"floors": {"rows_per_sec": 20_000}},
+        gate={"floors": {"rows_per_sec": SCAN_FLOOR_ROWS_PER_SEC}},
     ),
     "agg": BenchArea(
         "agg",

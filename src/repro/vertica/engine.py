@@ -35,7 +35,7 @@ from repro.vertica.expr import (
 )
 from repro.vertica.hashring import HASH_SPACE
 from repro.vertica.sql import ast_nodes as ast
-from repro.vertica.storage import RosContainer
+from repro.vertica.storage import RosContainer, take
 from repro.vertica.txn import Transaction
 
 
@@ -276,6 +276,40 @@ class ScanRow:
         self.row_index = row_index
 
 
+class ScanChunk:
+    """The visible rows of one ROS container (or WOS buffer) on one node.
+
+    ``columns`` are the requested columns at full container length;
+    ``positions`` picks the visible, in-range rows out of them (``None``:
+    every row, so the lists can be used whole).  Consumers never mutate
+    the lists — they are the container's own storage.
+    """
+
+    __slots__ = ("node", "container", "positions", "columns", "size")
+
+    def __init__(
+        self,
+        node: str,
+        container: Optional[RosContainer],
+        positions: Optional[List[int]],
+        columns: List[List[Any]],
+        size: int,
+    ):
+        self.node = node
+        #: the ROS container, or None for this transaction's WOS rows
+        self.container = container
+        self.positions = positions
+        self.columns = columns
+        #: rows this chunk yields (len(positions) when positions is set)
+        self.size = size
+
+    def sliced(self) -> List[List[Any]]:
+        """The requested columns holding only this chunk's rows."""
+        if self.positions is None:
+            return self.columns
+        return [take(column, self.positions) for column in self.columns]
+
+
 class Engine:
     """Executes parsed statements against a database's storage."""
 
@@ -387,6 +421,107 @@ class Engine:
                     ):
                         continue
                     yield ScanRow(node, dict(zip(buffer.column_names, row)))
+
+    def scan_chunks(
+        self,
+        table_name: str,
+        snapshot_epoch: int,
+        txn: Optional[Transaction],
+        initiator: str,
+        columns: Sequence[str],
+        hash_range: Optional[HashRange] = None,
+        cost: Optional[CostReport] = None,
+        for_update: bool = False,
+    ) -> Iterator[ScanChunk]:
+        """The rows :meth:`scan` yields, one container at a time.
+
+        Same nodes, containers, rows and order as :meth:`scan` (the
+        reference the legacy oracle still reads), but column-major: each
+        container contributes a live mask (its delete vector plus this
+        transaction's staged deletes), then a hash-range mask over
+        ``row_hashes``, and hands out only the requested ``columns``.
+        ``cost.scanned`` is charged once per container with the same
+        per-node totals, in the same node order, as the row scan's
+        per-row charges.  Storage for every node — including buddy
+        failover — is resolved before the first chunk, so a down node
+        raises before any row is read, as in the legacy interpreter.
+        """
+        db = self.database
+        table = db.catalog.table(table_name)
+        hash_range = hash_range or HashRange()
+        if table.unsegmented:
+            nodes = db.node_names if for_update else [initiator]
+        else:
+            assert table.ring is not None
+            nodes = [
+                segment.node
+                for segment in table.ring.segments
+                if hash_range.intersects(segment.lo, segment.hi)
+            ]
+        sources = [self._storage_for(node, table_name) for node in nodes]
+        # Row hashes lie in [0, HASH_SPACE): a full range filters nothing.
+        filter_hashes = not table.unsegmented and not hash_range.is_full
+        lo, hi = hash_range.lo, hash_range.hi
+        for containers, attributed in sources:
+            for container in containers:
+                positions = container.live_positions(snapshot_epoch)
+                staged = (
+                    txn.deleted_by_self(container) if txn is not None else None
+                )
+                if staged:
+                    positions = [
+                        i
+                        for i in (range(container.nrows) if positions is None
+                                  else positions)
+                        if i not in staged
+                    ]
+                visible = container.nrows if positions is None else len(positions)
+                if not visible:
+                    continue
+                if cost is not None:
+                    cost.scanned(attributed, visible)
+                if filter_hashes:
+                    hashes = container.row_hashes
+                    positions = [
+                        i
+                        for i in (range(container.nrows) if positions is None
+                                  else positions)
+                        if lo <= hashes[i] < hi
+                    ]
+                layout = {n: i for i, n in enumerate(container.column_names)}
+                yield ScanChunk(
+                    attributed,
+                    container,
+                    positions,
+                    [container.columns[layout[name]] for name in columns],
+                    visible if positions is None else len(positions),
+                )
+        # Read-your-writes: rows staged by this transaction.
+        if txn is not None:
+            pending_nodes = set(nodes)
+            for (wos_table, node), buffer in list(txn.wos.items()):
+                if wos_table != table.name or node not in pending_nodes:
+                    continue
+                rows = buffer.rows
+                if not rows:
+                    continue
+                if cost is not None:
+                    cost.scanned(node, len(rows))
+                positions = None
+                if filter_hashes:
+                    hashes = buffer.row_hashes
+                    positions = [
+                        i for i in range(len(rows)) if lo <= hashes[i] < hi
+                    ]
+                picked = rows if positions is None else [rows[i] for i in positions]
+                layout = {n: i for i, n in enumerate(buffer.column_names)}
+                yield ScanChunk(
+                    node,
+                    None,
+                    None,
+                    [[row[layout[name]] for row in picked] for name in columns],
+                    len(picked),
+                )
 
     def _storage_for(self, node: str, table_name: str):
         """Containers for ``table_name`` on ``node``, with failover.
@@ -718,20 +853,20 @@ class Engine:
 
         matched: List[Dict[str, Any]] = []
         seen_keys = set()
-        for scan_row in dml_matching_rows(
+        for container, row_index, data in dml_matching_rows(
             self, table.name, statement.where, txn, initiator, snapshot, cost
         ):
-            if scan_row.container is not None:
-                txn.stage_delete(scan_row.container, scan_row.row_index)
+            if container is not None:
+                txn.stage_delete(container, row_index)
             if table.unsegmented:
                 # Replicated copies: update counts once per logical row.
-                key = tuple(sorted(scan_row.data.items()))
+                key = tuple(sorted(data.items()))
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)
-            updated = dict(scan_row.data)
+            updated = dict(data)
             for column, expression in assignments:
-                updated[column] = expression.evaluate(scan_row.data)
+                updated[column] = expression.evaluate(data)
             matched.append(updated)
         if matched:
             self.insert_rows(table.name, matched, txn, cost)
@@ -750,13 +885,13 @@ class Engine:
 
         count = 0
         seen_keys = set()
-        for scan_row in dml_matching_rows(
+        for container, row_index, data in dml_matching_rows(
             self, table.name, statement.where, txn, initiator, snapshot, cost
         ):
-            if scan_row.container is not None:
-                txn.stage_delete(scan_row.container, scan_row.row_index)
+            if container is not None:
+                txn.stage_delete(container, row_index)
             if table.unsegmented:
-                key = tuple(sorted(scan_row.data.items()))
+                key = tuple(sorted(data.items()))
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)

@@ -5,6 +5,12 @@ value.  SQL three-valued logic is implemented faithfully: comparisons and
 arithmetic with NULL yield NULL, AND/OR follow Kleene logic, and WHERE
 keeps a row only when its predicate is strictly ``True``.
 
+``bind(env)`` is the executor's form of ``evaluate``: it resolves column
+references once against an ``env`` of column name → value list and
+returns a closure from row position to value.  Both forms share the
+per-node helpers below, so NULL handling, evaluation order and every
+``SqlError`` message are the same whichever one runs.
+
 The builtin function table includes ``HASH`` (Vertica's segmentation hash,
 the basis of the connector's locality-aware queries) and
 ``SYNTHETIC_HASH`` (a whole-row hash the connector uses to parallelise
@@ -14,18 +20,26 @@ loads of views and unsegmented tables).
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.vertica.errors import SqlError
 from repro.vertica.hashring import vertica_hash
 
 Row = Dict[str, Any]
+#: column name -> that column's values (one batch of rows)
+Env = Mapping[str, Sequence[Any]]
+#: row position -> value, for one bound batch
+RowFn = Callable[[int], Any]
 
 
 class Expression:
     """Base class for all expression nodes."""
 
     def evaluate(self, row: Row) -> Any:
+        raise NotImplementedError
+
+    def bind(self, env: Env) -> RowFn:
+        """Resolve against one batch; the result evaluates row ``i``."""
         raise NotImplementedError
 
     def columns(self) -> List[str]:
@@ -43,6 +57,10 @@ class Literal(Expression):
 
     def evaluate(self, row: Row) -> Any:
         return self.value
+
+    def bind(self, env: Env) -> RowFn:
+        value = self.value
+        return lambda i: value
 
     def sql(self) -> str:
         if self.value is None:
@@ -67,6 +85,17 @@ class ColumnRef(Expression):
             return row[self.name]
         except KeyError:
             raise SqlError(f"unknown column {self.name!r}") from None
+
+    def bind(self, env: Env) -> RowFn:
+        column = env.get(self.name)
+        if column is None:
+            name = self.name
+
+            def missing(i: int) -> Any:
+                raise SqlError(f"unknown column {name!r}")
+
+            return missing
+        return column.__getitem__
 
     def columns(self) -> List[str]:
         return [self.name]
@@ -145,33 +174,44 @@ class BinaryOp(Expression):
             return _kleene_and(self.left.evaluate(row), self.right.evaluate(row))
         if op == "OR":
             return _kleene_or(self.left.evaluate(row), self.right.evaluate(row))
-        left = self.left.evaluate(row)
-        right = self.right.evaluate(row)
-        if op in _ARITHMETIC:
-            try:
-                return _ARITHMETIC[op](left, right)
-            except TypeError:
-                raise SqlError(
-                    f"invalid operands to {op!r}: {type(left).__name__} "
-                    f"and {type(right).__name__}"
-                ) from None
-        if op in _COMPARISON:
-            if left is None or right is None:
-                return None
-            try:
-                return _COMPARISON[op](left, right)
-            except TypeError:
-                raise SqlError(
-                    f"cannot compare {type(left).__name__} with "
-                    f"{type(right).__name__}"
-                ) from None
-        raise SqlError(f"unknown operator {op!r}")  # pragma: no cover
+        return _binary(op, self.left.evaluate(row), self.right.evaluate(row))
+
+    def bind(self, env: Env) -> RowFn:
+        left, right = self.left.bind(env), self.right.bind(env)
+        op = self.op
+        if op in ("AND", "OR"):
+            kleene = _kleene_and if op == "AND" else _kleene_or
+            return lambda i: kleene(left(i), right(i))
+        return lambda i: _binary(op, left(i), right(i))
 
     def columns(self) -> List[str]:
         return self.left.columns() + self.right.columns()
 
     def sql(self) -> str:
         return f"({self.left.sql()} {self.op} {self.right.sql()})"
+
+
+def _binary(op: str, left: Any, right: Any) -> Any:
+    """Arithmetic or comparison on two evaluated operands."""
+    if op in _ARITHMETIC:
+        try:
+            return _ARITHMETIC[op](left, right)
+        except TypeError:
+            raise SqlError(
+                f"invalid operands to {op!r}: {type(left).__name__} "
+                f"and {type(right).__name__}"
+            ) from None
+    if op in _COMPARISON:
+        if left is None or right is None:
+            return None
+        try:
+            return _COMPARISON[op](left, right)
+        except TypeError:
+            raise SqlError(
+                f"cannot compare {type(left).__name__} with "
+                f"{type(right).__name__}"
+            ) from None
+    raise SqlError(f"unknown operator {op!r}")  # pragma: no cover
 
 
 def _kleene_and(a: Any, b: Any) -> Any:
@@ -198,12 +238,11 @@ class UnaryOp(Expression):
         self.operand = operand
 
     def evaluate(self, row: Row) -> Any:
-        value = self.operand.evaluate(row)
-        if value is None:
-            return None
-        if self.op == "NOT":
-            return not value
-        return -value if self.op == "-" else +value
+        return _unary(self.op, self.operand.evaluate(row))
+
+    def bind(self, env: Env) -> RowFn:
+        operand, op = self.operand.bind(env), self.op
+        return lambda i: _unary(op, operand(i))
 
     def columns(self) -> List[str]:
         return self.operand.columns()
@@ -214,6 +253,14 @@ class UnaryOp(Expression):
         return f"({self.op}{self.operand.sql()})"
 
 
+def _unary(op: str, value: Any) -> Any:
+    if value is None:
+        return None
+    if op == "NOT":
+        return not value
+    return -value if op == "-" else +value
+
+
 class IsNull(Expression):
     def __init__(self, operand: Expression, negated: bool = False):
         self.operand = operand
@@ -222,6 +269,12 @@ class IsNull(Expression):
     def evaluate(self, row: Row) -> bool:
         is_null = self.operand.evaluate(row) is None
         return not is_null if self.negated else is_null
+
+    def bind(self, env: Env) -> RowFn:
+        operand = self.operand.bind(env)
+        if self.negated:
+            return lambda i: operand(i) is not None
+        return lambda i: operand(i) is None
 
     def columns(self) -> List[str]:
         return self.operand.columns()
@@ -242,20 +295,23 @@ class InList(Expression):
         value = self.operand.evaluate(row)
         if value is None:
             return None
-        found = False
-        saw_null = False
-        for option in self.options:
-            candidate = option.evaluate(row)
-            if candidate is None:
-                saw_null = True
-            elif candidate == value:
-                found = True
-                break
-        if found:
-            return not self.negated
-        if saw_null:
-            return None
-        return self.negated
+        return _in_list(
+            value, (option.evaluate(row) for option in self.options),
+            self.negated,
+        )
+
+    def bind(self, env: Env) -> RowFn:
+        operand = self.operand.bind(env)
+        options = [option.bind(env) for option in self.options]
+        negated = self.negated
+
+        def in_list(i: int) -> Any:
+            value = operand(i)
+            if value is None:
+                return None
+            return _in_list(value, (option(i) for option in options), negated)
+
+        return in_list
 
     def columns(self) -> List[str]:
         out = self.operand.columns()
@@ -269,6 +325,19 @@ class InList(Expression):
         return f"({self.operand.sql()} {keyword} ({options}))"
 
 
+def _in_list(value: Any, candidates: Iterable[Any], negated: bool) -> Any:
+    """IN over lazily evaluated options: the first match stops evaluation."""
+    saw_null = False
+    for candidate in candidates:
+        if candidate is None:
+            saw_null = True
+        elif candidate == value:
+            return not negated
+    if saw_null:
+        return None
+    return negated
+
+
 class Between(Expression):
     def __init__(self, operand: Expression, low: Expression, high: Expression):
         self.operand = operand
@@ -276,18 +345,27 @@ class Between(Expression):
         self.high = high
 
     def evaluate(self, row: Row) -> Any:
-        value = self.operand.evaluate(row)
-        low = self.low.evaluate(row)
-        high = self.high.evaluate(row)
-        if value is None or low is None or high is None:
-            return None
-        return low <= value <= high
+        return _between(
+            self.operand.evaluate(row), self.low.evaluate(row),
+            self.high.evaluate(row),
+        )
+
+    def bind(self, env: Env) -> RowFn:
+        operand = self.operand.bind(env)
+        low, high = self.low.bind(env), self.high.bind(env)
+        return lambda i: _between(operand(i), low(i), high(i))
 
     def columns(self) -> List[str]:
         return self.operand.columns() + self.low.columns() + self.high.columns()
 
     def sql(self) -> str:
         return f"({self.operand.sql()} BETWEEN {self.low.sql()} AND {self.high.sql()})"
+
+
+def _between(value: Any, low: Any, high: Any) -> Any:
+    if value is None or low is None or high is None:
+        return None
+    return low <= value <= high
 
 
 class Like(Expression):
@@ -314,7 +392,14 @@ class Like(Expression):
         return re.compile("^" + "".join(out) + "$", re.DOTALL)
 
     def evaluate(self, row: Row) -> Any:
-        value = self.operand.evaluate(row)
+        return self.match(self.operand.evaluate(row))
+
+    def bind(self, env: Env) -> RowFn:
+        operand, match = self.operand.bind(env), self.match
+        return lambda i: match(operand(i))
+
+    def match(self, value: Any) -> Any:
+        """The LIKE result for one operand value (NULL stays NULL)."""
         if value is None:
             return None
         matched = bool(self._regex.match(str(value)))
@@ -365,7 +450,19 @@ class FunctionCall(Expression):
         if self.name == "SYNTHETIC_HASH":
             values = [row[key] for key in sorted(row)]
             return vertica_hash(*values) if values else 0
-        values = [arg.evaluate(row) for arg in self.args]
+        return self.call([arg.evaluate(row) for arg in self.args])
+
+    def bind(self, env: Env) -> RowFn:
+        if self.name == "SYNTHETIC_HASH":
+            columns = [env[key] for key in sorted(env)]
+            if not columns:
+                return lambda i: 0
+            return lambda i: vertica_hash(*[column[i] for column in columns])
+        args, call = [arg.bind(env) for arg in self.args], self.call
+        return lambda i: call([arg(i) for arg in args])
+
+    def call(self, values: List[Any]) -> Any:
+        """Apply the builtin to evaluated argument values."""
         try:
             return _BUILTINS[self.name](*values)
         except (TypeError, ValueError) as exc:

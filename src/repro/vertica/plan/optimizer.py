@@ -273,17 +273,29 @@ def _join_scans(node: logical.LogicalNode) -> Optional[List[TableScan]]:
     return None
 
 
-def _scan_type_classes(scans: List[TableScan]) -> Dict[str, str]:
-    """Column name -> 'num'/'str' for every resolvable name in the subtree.
+#: exact value class of each SQL type (``exact=True`` type maps)
+_EXACT_CLASSES = {"INTEGER": "int", "FLOAT": "float", "BOOLEAN": "bool"}
 
-    Plain names resolve left-first, matching the left-wins merge the join
-    applies to ambiguous columns; alias-qualified names are unambiguous.
+
+def _scan_type_classes(
+    scans: List[TableScan], exact: bool = False
+) -> Dict[str, str]:
+    """Column name -> type class for every resolvable name in the subtree.
+
+    Classes are 'num'/'str', or with ``exact`` the value classes
+    'int'/'float'/'bool'/'str' the executor needs to prove arithmetic
+    safe.  Plain names resolve left-first, matching the left-wins merge
+    the join applies to ambiguous columns; alias-qualified names are
+    unambiguous.
     """
     types: Dict[str, str] = {}
     for scan in scans:
         for column_def in scan.table.columns:
             type_name = column_def.sql_type.name
-            klass = "str" if type_name.startswith("VARCHAR") else "num"
+            if type_name.startswith("VARCHAR"):
+                klass = "str"
+            else:
+                klass = _EXACT_CLASSES[type_name] if exact else "num"
             types.setdefault(column_def.name, klass)
             types[f"{scan.alias}.{column_def.name}"] = klass
     return types
@@ -303,17 +315,37 @@ _EQUALITY_OPS = ("=", "<>", "!=")
 _RANGE_OPS = ("<", "<=", ">", ">=")
 
 
-def _operand_class(expr: Expression, types: Dict[str, str]) -> Optional[str]:
+_ARITHMETIC_OPS = ("+", "-", "*")
+#: comparison family of each class: members of one family compare cleanly
+_FAMILY = {"num": "num", "int": "num", "float": "num", "bool": "num",
+           "str": "str", "null": "null"}
+
+
+def _operand_class(
+    expr: Expression, types: Dict[str, str], exact: bool = False
+) -> Optional[str]:
     if isinstance(expr, Literal):
-        if expr.value is None:
+        value = expr.value
+        if value is None:
             return "null"
-        if isinstance(expr.value, str):
+        if isinstance(value, str):
             return "str"
-        if isinstance(expr.value, (bool, int, float)):
+        if not isinstance(value, (bool, int, float)):
+            return None
+        if not exact:
             return "num"
-        return None
+        if isinstance(value, bool):
+            return "bool"
+        return "int" if isinstance(value, int) else "float"
     if isinstance(expr, ColumnRef):
         return types.get(expr.name)
+    if exact and isinstance(expr, BinaryOp) and expr.op in _ARITHMETIC_OPS:
+        # int op int and float op float never raise; mixing them could
+        # overflow an int into a float, and bool/str are excluded.
+        left = _operand_class(expr.left, types, exact)
+        right = _operand_class(expr.right, types, exact)
+        if left == right and left in ("int", "float"):
+            return left
     return None
 
 
@@ -321,7 +353,28 @@ def _is_simple(expr: Expression) -> bool:
     return isinstance(expr, (Literal, ColumnRef))
 
 
-def _never_raises(expr: Expression, types: Dict[str, str]) -> bool:
+def _is_operand(expr: Expression, types: Dict[str, str], exact: bool) -> bool:
+    """A never-raising comparison operand: a column, literal or (exact)
+    same-class arithmetic over them."""
+    return _is_simple(expr) or (
+        exact and _operand_class(expr, types, exact) in ("int", "float")
+    )
+
+
+def _same_family(
+    operands: List[Expression], types: Dict[str, str], exact: bool
+) -> bool:
+    """Operands compare without raising: a NULL among them short-circuits
+    the comparison; otherwise all share one known family."""
+    families = {
+        _FAMILY.get(_operand_class(e, types, exact) or "") for e in operands
+    }
+    return "null" in families or (len(families) == 1 and None not in families)
+
+
+def _never_raises(
+    expr: Expression, types: Dict[str, str], exact: bool = False
+) -> bool:
     """Conservatively true when evaluating ``expr`` can never raise.
 
     The legacy interpreter's AND/OR are *eager*: every WHERE conjunct and
@@ -330,35 +383,44 @@ def _never_raises(expr: Expression, types: Dict[str, str]) -> bool:
     excludes, which is only indistinguishable from the legacy order when
     none of the skipped evaluations could have raised.  Operands are
     restricted to bare columns/literals; ranged comparisons additionally
-    need both type classes known and equal (mixed-type comparison raises
-    ``SqlError``), and ``BETWEEN``/arithmetic are excluded outright.
+    need both type classes known and comparable (mixed-type comparison
+    raises ``SqlError``), and ``BETWEEN``/arithmetic are excluded outright.
+
+    With ``exact`` (``types`` from ``_scan_type_classes(..., exact=True)``)
+    the executor asks the same question before evaluating an expression
+    column-at-a-time, and two more shapes qualify: ``+ - *`` over operands
+    of one numeric class (int with int, float with float), usable
+    wherever a column is, and ``BETWEEN`` over one comparable family.
+    The optimizer never passes ``exact``, so its plans are unaffected.
     """
     if isinstance(expr, (Literal, ColumnRef)):
         return True  # ref presence is guaranteed by the side-name check
     if isinstance(expr, BinaryOp):
         if expr.op in ("AND", "OR"):
-            return _never_raises(expr.left, types) and _never_raises(
-                expr.right, types
+            return _never_raises(expr.left, types, exact) and _never_raises(
+                expr.right, types, exact
             )
+        operands = [expr.left, expr.right]
+        if not all(_is_operand(e, types, exact) for e in operands):
+            return False
         if expr.op in _EQUALITY_OPS:
-            return _is_simple(expr.left) and _is_simple(expr.right)
+            return True
         if expr.op in _RANGE_OPS:
-            if not (_is_simple(expr.left) and _is_simple(expr.right)):
-                return False
-            left = _operand_class(expr.left, types)
-            right = _operand_class(expr.right, types)
-            if left == "null" or right == "null":
-                return True  # NULL comparison short-circuits to NULL
-            return left is not None and left == right
-        return False
+            return _same_family(operands, types, exact)
+        return exact and _operand_class(expr, types, exact) is not None
     if isinstance(expr, UnaryOp):
-        return expr.op == "NOT" and _never_raises(expr.operand, types)
+        return expr.op == "NOT" and _never_raises(expr.operand, types, exact)
     if isinstance(expr, (IsNull, Like)):
-        return _is_simple(expr.operand)
+        return _is_operand(expr.operand, types, exact)
     if isinstance(expr, InList):
-        return _is_simple(expr.operand) and all(
+        return _is_operand(expr.operand, types, exact) and all(
             isinstance(o, Literal) for o in expr.options
         )
+    if exact and isinstance(expr, Between):
+        operands = [expr.operand, expr.low, expr.high]
+        return all(
+            _is_operand(e, types, exact) for e in operands
+        ) and _same_family(operands, types, exact)
     return False
 
 

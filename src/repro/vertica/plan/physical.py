@@ -1,18 +1,48 @@
-"""Physical operators executing over columnar batches.
+"""Physical operators executing column-major from storage to result.
 
-A :class:`ColumnBatch` is a chunk of up to :data:`BATCH_ROWS` rows stored
-column-wise (``names[i]`` names the parallel value list ``columns[i]``),
-plus a per-row producing-node list that keeps the legacy CostReport's
-node attribution exact.  Alias-qualified column names (``P.ID``) share
-the *same* list objects as their plain twins — the per-row dict copy the
-legacy interpreter paid for qualification is gone entirely.
+A :class:`ColumnBatch` holds rows column-wise (``names[i]`` names the
+parallel value list ``columns[i]``) plus a per-row producing-node list
+that keeps the legacy CostReport's node attribution exact.
+Alias-qualified column names (``P.ID``) share the *same* list objects as
+their plain twins.  No operator mutates a column list it received: a
+scan hands out the ROS container's own lists when every row is visible.
 
-:class:`RowView` adapts one batch row back into the ``Mapping`` the
-expression evaluator consumes, so ``Expression.evaluate`` (including
-``SYNTHETIC_HASH``'s whole-row hash over sorted column names) works
-unchanged over batches.
+**Scan.**  ``TableScanOp`` reads one container at a time through
+:meth:`~repro.vertica.engine.Engine.scan_chunks`: a live mask from the
+delete vector and the transaction's staged deletes, a hash-range mask
+from ``row_hashes``, then slices of only the columns the plan needs
+(whole lists when nothing is masked), then this transaction's WOS rows.
+Small containers are coalesced into batches of at least
+:data:`BATCH_ROWS` rows.  ``CostReport.scanned`` is charged once per
+container.  ``DmlScanOp`` uses the same scan and builds a row dict only
+for a row that matches, because UPDATE assigns from it and staging
+needs its (container, index).
 
-Fidelity notes (the differential suite enforces these):
+**Expressions** are compiled once per statement
+(:mod:`repro.vertica.plan.compiled`).  One that the type-aware
+``_never_raises`` proves cannot raise — columns, literals, comparisons
+over one comparable family, same-class ``+ - *``, ``BETWEEN``, ``IN``
+over literals, ``LIKE``, ``IS NULL`` and AND/OR/NOT over those — runs
+column-at-a-time.  Everything else (division, ``||``, functions, UDx
+calls, mixed-type comparisons, unknown columns) runs row-major through
+:meth:`~repro.vertica.expr.Expression.bind` closures, in the legacy
+row-then-item order, so errors surface exactly where they always did.
+
+**Operators** work on column lists and index lists: filters and scans
+select positions, aggregates keep one position list per group, joins
+build and probe over key columns and gather output columns by pair
+index, and output bytes are summed per column.
+
+**Cost order.**  The JDBC bridge spawns one simulated process per node
+in the insertion order of the ``CostReport.node_*`` dicts, so that order
+is part of the answer.  Every operator charges nodes in the order the
+legacy row interpreter first touched them: scans in node → container →
+WOS order, projections in output-row order, aggregates per input run.
+The nested-loop join materializes its right input before its left one
+(its scan charges land right-first); every other operator matches the
+legacy interpreter's order exactly.
+
+Fidelity notes (the differential suites enforce these):
 
 - ``LimitOp`` drains its child fully before slicing — the legacy
   interpreter projected (and cost-charged) every row, then applied
@@ -32,18 +62,25 @@ inclusive wall time); the pipeline feeds them to ``PROFILE``,
 from __future__ import annotations
 
 import time
-from collections.abc import Mapping
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from collections import Counter
+from itertools import chain, groupby, repeat
+from operator import add
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ordering import null_last_key
-from repro.vertica.engine import CostReport, _value_bytes
+from repro.vertica.engine import CostReport, ScanChunk, _value_bytes
 from repro.vertica.errors import SqlError
-from repro.vertica.expr import ColumnRef, predicate_holds
+from repro.vertica.expr import BinaryOp, ColumnRef, Expression, predicate_holds
 from repro.vertica.plan import logical
+from repro.vertica.plan.compiled import CompiledExpr, column_classes
+from repro.vertica.plan.optimizer import _rebuild_and, _split_and
 from repro.vertica.sql import ast_nodes as ast
+from repro.vertica.storage import RosContainer, take
 from repro.vertica.txn import Transaction
 
 BATCH_ROWS = 1024
+#: candidate pairs a nested-loop join evaluates per step (bounds memory)
+PAIR_CHUNK = 65536
 
 
 class ColumnBatch:
@@ -74,24 +111,52 @@ class ColumnBatch:
             return [()] * len(self.nodes)
         return list(zip(*self.columns))
 
+    def env(self) -> Dict[str, List[Any]]:
+        """Column name → values, the form compiled expressions read."""
+        return {name: self.columns[i] for name, i in self.index.items()}
 
-class RowView(Mapping):
-    """One batch row as the Mapping the expression evaluator expects."""
+    def column(self, name: str) -> List[Any]:
+        return self.columns[self.index[name]]
 
-    __slots__ = ("batch", "row")
+    def take(self, positions: Sequence[int]) -> "ColumnBatch":
+        """Select rows by position, preserving shared column-list identity."""
+        cache: Dict[int, List[Any]] = {}
+        columns: List[List[Any]] = []
+        for column in self.columns:
+            key = id(column)
+            taken = cache.get(key)
+            if taken is None:
+                taken = cache[key] = take(column, positions)
+            columns.append(taken)
+        return ColumnBatch(self.names, columns, take(self.nodes, positions))
 
-    def __init__(self, batch: ColumnBatch, row: int):
-        self.batch = batch
-        self.row = row
 
-    def __getitem__(self, key: str) -> Any:
-        return self.batch.columns[self.batch.index[key]][self.row]
+def concat_batches(batches: List[ColumnBatch]) -> ColumnBatch:
+    """One batch holding every row of ``batches`` (one operator's output).
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.batch.names)
-
-    def __len__(self) -> int:
-        return len(self.batch.names)
+    Takes the last batch's names, as the legacy materializations did;
+    columns shared within a batch stay shared in the result.
+    """
+    if len(batches) == 1:
+        return batches[0]
+    if not batches:
+        return ColumnBatch([], [], [])
+    first = batches[0]
+    slot_of: Dict[int, int] = {}
+    columns: List[List[Any]] = []
+    for j, column in enumerate(first.columns):
+        k = slot_of.setdefault(id(column), j)
+        if k != j:
+            columns.append(columns[k])
+            continue
+        merged: List[Any] = []
+        for batch in batches:
+            merged.extend(batch.columns[j])
+        columns.append(merged)
+    nodes: List[str] = []
+    for batch in batches:
+        nodes.extend(batch.nodes)
+    return ColumnBatch(batches[-1].names, columns, nodes)
 
 
 class OperatorStats:
@@ -145,30 +210,35 @@ class PhysicalOperator:
         raise NotImplementedError
 
 
-def _compact(batch: ColumnBatch, keep: List[int]) -> ColumnBatch:
-    """Select rows by index, preserving shared column-list identity."""
-    cache: Dict[int, List[Any]] = {}
-    columns: List[List[Any]] = []
-    for column in batch.columns:
-        key = id(column)
-        compacted = cache.get(key)
-        if compacted is None:
-            compacted = [column[i] for i in keep]
-            cache[key] = compacted
-        columns.append(compacted)
-    nodes = [batch.nodes[i] for i in keep]
-    return ColumnBatch(batch.names, columns, nodes)
-
-
-def _apply_predicate(batch: ColumnBatch, predicate) -> ColumnBatch:
-    keep = [
-        i
-        for i in range(batch.num_rows)
-        if predicate.evaluate(RowView(batch, i)) is True
-    ]
+def _filter(batch: ColumnBatch, predicate: CompiledExpr) -> ColumnBatch:
+    keep = predicate.select(batch.env(), batch.num_rows)
     if len(keep) == batch.num_rows:
         return batch
-    return _compact(batch, keep)
+    return batch.take(keep)
+
+
+def _column_bytes(column: List[Any]) -> List[int]:
+    """Per-value wire bytes of one output column (``_value_bytes``)."""
+    kinds = set(map(type, column))
+    if kinds <= {int, float}:
+        return [8] * len(column)
+    if kinds == {str}:
+        return list(map(len, map(str.encode, column)))
+    return list(map(_value_bytes, column))
+
+
+def _total_bytes(columns: List[List[Any]]) -> int:
+    """Wire bytes of whole output columns: ``_value_bytes`` summed."""
+    total = 0
+    for column in columns:
+        kinds = set(map(type, column))
+        if kinds <= {int, float}:
+            total += 8 * len(column)
+        elif kinds == {str}:  # UTF-8 lengths add up under concatenation
+            total += len("".join(column).encode("utf-8"))
+        else:
+            total += sum(map(_value_bytes, column))
+    return total
 
 
 class ConstantOp(PhysicalOperator):
@@ -189,12 +259,12 @@ class ConstantOp(PhysicalOperator):
 
 
 class TableScanOp(PhysicalOperator):
-    """Segment-pruned storage scan producing qualified columnar batches.
+    """Segment-pruned, container-at-a-time storage scan.
 
-    The engine's ``scan`` generator (visibility, hash-range row filter,
-    buddy failover, WOS read-your-writes) stays the single source of
-    storage truth; this operator only batches its rows column-wise and
-    applies any pushed-down predicate.
+    Visibility, the hash-range row filter, buddy failover and WOS
+    read-your-writes all come from ``Engine.scan_chunks``; this operator
+    slices the needed columns, coalesces small containers into batches,
+    qualifies names and applies any pushed-down predicate.
     """
 
     kind = "scan"
@@ -229,47 +299,76 @@ class TableScanOp(PhysicalOperator):
         names = list(plain)
         if node.qualify:
             names += [f"{node.alias}.{c}" for c in plain]
-        predicate = node.predicate
-        columns: List[List[Any]] = [[] for __ in plain]
-        nodes: List[str] = []
+        predicate = (
+            CompiledExpr(node.predicate, column_classes(node))
+            if node.predicate is not None
+            else None
+        )
         scanned_before = self.cost.rows_scanned
-        for scan_row in self.engine.scan(
+        for group in _coalesce(self.engine.scan_chunks(
             node.key,
             self.snapshot,
             self.txn,
             self.initiator,
+            plain,
             hash_range=node.hash_range,
             cost=self.cost,
             for_update=node.for_update,
-        ):
-            data = scan_row.data
-            for i, name in enumerate(plain):
-                columns[i].append(data[name])
-            nodes.append(scan_row.node)
-            if len(nodes) >= BATCH_ROWS:
-                self.stats.rows_scanned += self.cost.rows_scanned - scanned_before
-                yield self._finish_batch(names, columns, nodes, predicate)
-                columns = [[] for __ in plain]
-                nodes = []
-                scanned_before = self.cost.rows_scanned
+        )):
+            self.stats.rows_scanned += self.cost.rows_scanned - scanned_before
+            scanned_before = self.cost.rows_scanned
+            batch = self._batch(names, group, predicate)
+            if batch.num_rows:
+                yield batch
         self.stats.rows_scanned += self.cost.rows_scanned - scanned_before
-        if nodes:
-            yield self._finish_batch(names, columns, nodes, predicate)
 
-    def _finish_batch(
+    def _batch(
         self,
         names: List[str],
-        columns: List[List[Any]],
-        nodes: List[str],
-        predicate,
+        group: List[ScanChunk],
+        predicate: Optional[CompiledExpr],
     ) -> ColumnBatch:
+        if len(group) == 1:
+            columns = group[0].sliced()
+        else:
+            parts = [chunk.sliced() for chunk in group]
+            columns = [
+                list(chain.from_iterable(part[j] for part in parts))
+                for j in range(len(parts[0]))
+            ]
+        nodes = [group[0].node] * sum(chunk.size for chunk in group)
         # Qualified names reference the same list objects: zero copies.
-        batch = ColumnBatch(names, columns + columns if len(names) > len(columns)
-                            else columns, nodes)
+        batch = ColumnBatch(
+            names, columns + columns if len(names) > len(columns) else columns,
+            nodes,
+        )
         self.stats.rows_in += batch.num_rows
         if predicate is not None:
-            batch = _apply_predicate(batch, predicate)
+            batch = _filter(batch, predicate)
         return batch
+
+
+def _coalesce(chunks: Iterator[ScanChunk]) -> Iterator[List[ScanChunk]]:
+    """Runs of consecutive same-node chunks holding >= BATCH_ROWS rows.
+
+    Small containers share a batch; batches never span nodes, so a
+    projection charges each batch's output to one node in one call.
+    """
+    group: List[ScanChunk] = []
+    rows = 0
+    for chunk in chunks:
+        if not chunk.size:
+            continue
+        if group and group[-1].node != chunk.node:
+            yield group
+            group, rows = [], 0
+        group.append(chunk)
+        rows += chunk.size
+        if rows >= BATCH_ROWS:
+            yield group
+            group, rows = [], 0
+    if group:
+        yield group
 
 
 class SystemScanOp(PhysicalOperator):
@@ -369,37 +468,81 @@ class ViewScanOp(PhysicalOperator):
         result = self.engine.select(
             query, self.txn, self.initiator, cost=self.cost
         )
+        rows = result.rows
+        if not rows:
+            return
         ring = synthetic_ring(db.node_names)
-        plain = list(dict.fromkeys(result.columns))
+        # A row reads as dict(zip(columns, row)): the last duplicate wins.
+        last = {name: j for j, name in enumerate(result.columns)}
+        plain = list(last)
+        by_position = [list(column) for column in zip(*rows)]
+        columns = [by_position[last[name]] for name in plain]
+        hashed = [by_position[last[name]] for name in sorted(last)]
+        nodes = (
+            [ring.node_for(vertica_hash(*values)) for values in zip(*hashed)]
+            if hashed else [self.initiator] * len(rows)
+        )
         alias = self.logical.alias
-        names = list(plain) + [f"{alias}.{c}" for c in plain if "." not in c]
-        for start in range(0, len(result.rows), BATCH_ROWS):
-            chunk = result.rows[start:start + BATCH_ROWS]
-            columns: List[List[Any]] = [[] for __ in plain]
-            nodes: List[str] = []
-            for row in chunk:
-                data = dict(zip(result.columns, row))
-                for i, name in enumerate(plain):
-                    columns[i].append(data[name])
-                values = [data[k] for k in sorted(data)]
-                nodes.append(
-                    ring.node_for(vertica_hash(*values)) if values
-                    else self.initiator
-                )
-            qualified = [
-                columns[plain.index(c)] for c in plain if "." not in c
-            ]
-            self.stats.rows_in += len(chunk)
-            yield ColumnBatch(names, columns + qualified, nodes)
+        names = plain + [f"{alias}.{c}" for c in plain if "." not in c]
+        qualified = [columns[plain.index(c)] for c in plain if "." not in c]
+        self.stats.rows_in += len(rows)
+        yield ColumnBatch(names, columns + qualified, nodes)
+
+
+def _broadcast_rows(build_nodes: List[str], probe_nodes: set) -> int:
+    """Row copies a broadcast of the build side to every probe node makes."""
+    return sum(
+        count * len(probe_nodes - {node})
+        for node, count in Counter(build_nodes).items()
+    )
+
+
+def _merge_sources(
+    left_names: List[str], right_names: List[str]
+) -> List[Tuple[str, bool]]:
+    """Joined names with the side each resolves to (True = left).
+
+    The legacy merged row is right ∪ left with left winning on plain-name
+    collisions and the right side's qualified names re-applied last.
+    """
+    left_set, right_set = set(left_names), set(right_names)
+    names = list(right_names) + [n for n in left_names if n not in right_set]
+    return [
+        (name, name in left_set and not ("." in name and name in right_set))
+        for name in names
+    ]
+
+
+def _gather(
+    sources: List[Tuple[str, bool]],
+    left: ColumnBatch,
+    right: ColumnBatch,
+    left_index: List[int],
+    right_index: List[int],
+) -> List[List[Any]]:
+    """Joined output columns for the (left, right) row-position pairs."""
+    cache: Dict[Tuple[int, bool], List[Any]] = {}
+    columns: List[List[Any]] = []
+    for name, from_left in sources:
+        column = left.column(name) if from_left else right.column(name)
+        key = (id(column), from_left)
+        gathered = cache.get(key)
+        if gathered is None:
+            gathered = cache[key] = take(
+                column, left_index if from_left else right_index
+            )
+        columns.append(gathered)
+    return columns
 
 
 class JoinOp(PhysicalOperator):
     """Nested-loop inner join with the legacy dict-merge semantics.
 
-    The right side is materialized once; for each left row the merged
-    row is right ∪ left with left winning on plain-name collisions and
-    right winning qualified ones — bit-for-bit the legacy merge.  Output
-    rows inherit the *left* row's producing node.
+    The right side is materialized once; each left row pairs with every
+    right row, and the condition evaluates on the merged row — right ∪
+    left with left winning on plain-name collisions and right winning
+    qualified ones — in left-major order.  Output rows inherit the
+    *left* row's producing node.
     """
 
     kind = "join"
@@ -420,64 +563,56 @@ class JoinOp(PhysicalOperator):
         return self.logical.label()
 
     def _run(self) -> Iterator[ColumnBatch]:
-        condition = self.logical.condition
-        right_rows: List[Dict[str, Any]] = []
-        right_names: List[str] = []
-        right_nodes: List[str] = []
-        for batch in self.right.batches():
-            right_names = batch.names
-            self.stats.rows_in += batch.num_rows
-            for i in range(batch.num_rows):
-                right_rows.append(dict(RowView(batch, i)))
-                right_nodes.append(batch.nodes[i])
-        names: Optional[List[str]] = None
+        right = concat_batches(list(self.right.batches()))
+        self.stats.rows_in += right.num_rows
+        condition = CompiledExpr(
+            self.logical.condition, column_classes(self.logical)
+        )
+        width = right.num_rows
+        sources: Optional[List[Tuple[str, bool]]] = None
         left_node_set: set = set()
-        pending: List[Tuple[str, Dict[str, Any]]] = []
         for batch in self.left.batches():
-            if names is None:
-                names = list(right_names) + [
-                    n for n in batch.names if n not in right_names
-                ]
+            if sources is None:
+                sources = _merge_sources(batch.names, right.names)
+            names = [name for name, __ in sources]
             self.stats.rows_in += batch.num_rows
-            for i in range(batch.num_rows):
-                left_row = dict(RowView(batch, i))
-                node = batch.nodes[i]
-                left_node_set.add(node)
-                for right_row in right_rows:
-                    merged = dict(right_row)
-                    merged.update(left_row)  # left wins on ambiguity
-                    merged.update(
-                        {k: v for k, v in right_row.items() if "." in k}
+            left_node_set.update(batch.nodes)
+            if not width:
+                continue
+            step = max(1, PAIR_CHUNK // width)
+            for start in range(0, batch.num_rows, step):
+                stop = min(batch.num_rows, start + step)
+                left_index = list(chain.from_iterable(
+                    repeat(i, width) for i in range(start, stop)
+                ))
+                right_index = list(range(width)) * (stop - start)
+                columns = _gather(sources, batch, right, left_index,
+                                  right_index)
+                keep = condition.select(dict(zip(names, columns)),
+                                        len(left_index))
+                if keep:
+                    joined = ColumnBatch(
+                        names, columns, take(batch.nodes, left_index)
                     )
-                    if predicate_holds(condition, merged):
-                        pending.append((node, merged))
-                        if len(pending) >= BATCH_ROWS:
-                            yield self._build(names, pending)
-                            pending = []
-        if pending and names is not None:
-            yield self._build(names, pending)
+                    yield joined.take(keep)
         # The nested loop broadcasts the (materialized) right side to every
         # node holding probe rows; co-located joins move nothing.
         if not self.logical.colocated:
-            for node in right_nodes:
-                self.stats.rows_shuffled += len(left_node_set - {node})
-
-    def _build(
-        self, names: List[str], rows: List[Tuple[str, Dict[str, Any]]]
-    ) -> ColumnBatch:
-        columns = [[row[name] for __, row in rows] for name in names]
-        return ColumnBatch(names, columns, [node for node, __ in rows])
+            self.stats.rows_shuffled += _broadcast_rows(right.nodes,
+                                                        left_node_set)
 
 
 class _EquiJoinOp(PhysicalOperator):
     """Shared machinery for hash and merge equi-joins.
 
-    Both materialize the two inputs, find matching ``(left, right)`` index
-    pairs on the equi keys (NULL keys never match), validate the *full*
-    original condition on the merged row — the key match is only a
-    prefilter, so semantics stay bit-for-bit with the nested loop — and
-    emit in left-major order (left stream order, right materialization
-    order), exactly the order the legacy nested loop produced.
+    Both materialize the two inputs, find matching ``(left, right)``
+    position pairs over the equi-key columns (NULL keys never match),
+    re-check only the *residual* condition — the conjuncts that are not
+    equi-key equalities, which every key-matched pair already satisfies
+    (the planner only picks these strategies for never-raising
+    conditions) — and emit in left-major order (left stream order, right
+    materialization order), exactly the order the legacy nested loop
+    produced.  Output columns are gathered by pair position.
 
     Two optional layers ride on top of that core:
 
@@ -490,7 +625,7 @@ class _EquiJoinOp(PhysicalOperator):
       change the emitted bytes — only how much work finding them takes.
     - **Provenance tracking** — joins inside a cost-reordered chain
       (``logical.reorder_chain``) record, per output row, each base
-      relation's materialization index.  The chain root uses them to
+      relation's materialization position.  The chain root uses them to
       sort its pairs back into the binder's lexicographic order and to
       re-attribute every output row to the binder-leftmost relation's
       producing node, keeping rows *and* per-node cost attribution
@@ -513,12 +648,11 @@ class _EquiJoinOp(PhysicalOperator):
         self.left = left
         self.right = right
         self.children = [left, right]
-        tracking = getattr(node, "reorder_chain", False)
-        #: per-output-row {alias: leaf materialization index}, reordered
-        #: chains only (None disables all provenance work)
-        self.output_provenance: Optional[List[Dict[str, int]]] = (
-            [] if tracking else None
-        )
+        #: reordered chains only: provenance work is skipped otherwise
+        self.tracking = bool(getattr(node, "reorder_chain", False))
+        #: alias -> leaf materialization position per output row (set
+        #: once the join has emitted; chains only)
+        self.output_provenance: Optional[Dict[str, List[int]]] = None
         #: alias -> that leaf scan's materialized node list (chains only)
         self.leaf_nodes: Dict[str, List[str]] = {}
 
@@ -527,19 +661,11 @@ class _EquiJoinOp(PhysicalOperator):
 
     def _materialize(
         self, operator: PhysicalOperator
-    ) -> Tuple[List[str], List[Dict[str, Any]], List[str],
-               Optional[List[Dict[str, int]]]]:
-        names: List[str] = []
-        rows: List[Dict[str, Any]] = []
-        nodes: List[str] = []
-        for batch in operator.batches():
-            names = batch.names
-            self.stats.rows_in += batch.num_rows
-            for i in range(batch.num_rows):
-                rows.append(dict(RowView(batch, i)))
-                nodes.append(batch.nodes[i])
-        prov: Optional[List[Dict[str, int]]] = None
-        if self.output_provenance is not None:
+    ) -> Tuple[ColumnBatch, Optional[Dict[str, List[int]]]]:
+        batch = concat_batches(list(operator.batches()))
+        self.stats.rows_in += batch.num_rows
+        prov: Optional[Dict[str, List[int]]] = None
+        if self.tracking:
             child_prov = getattr(operator, "output_provenance", None)
             if child_prov is not None:
                 # a chain join below us: adopt its provenance wholesale
@@ -549,29 +675,32 @@ class _EquiJoinOp(PhysicalOperator):
                 alias = getattr(
                     getattr(operator, "logical", None), "alias", ""
                 )
-                prov = [{alias: i} for i in range(len(rows))]
-                self.leaf_nodes[alias] = nodes
-        return names, rows, nodes, prov
+                prov = {alias: list(range(batch.num_rows))}
+                self.leaf_nodes[alias] = batch.nodes
+        return batch, prov
 
     @staticmethod
-    def _key_of(
-        row: Dict[str, Any], refs: List[str]
-    ) -> Optional[Tuple[Any, ...]]:
-        key = tuple(row[ref] for ref in refs)
-        if any(value is None for value in key):
-            return None  # NULL never equi-matches
-        return key
+    def _keys(batch: ColumnBatch, refs: List[str]) -> List[Any]:
+        """One join key per row: the value itself for a single key column,
+        else a tuple; rows with a NULL key never match (see _matchable)."""
+        if not batch.num_rows:
+            return []
+        if len(refs) == 1:
+            return batch.column(refs[0])
+        return list(zip(*(batch.column(ref) for ref in refs)))
+
+    @staticmethod
+    def _matchable(key: Any, composite: bool) -> bool:
+        return not (None in key if composite else key is None)
 
     def _charge_shuffle(
         self, build_nodes: List[str], probe_nodes: List[str]
     ) -> None:
         """Broadcast-build cost: each build row is copied to every other
         node holding probe rows; a co-located join moves nothing."""
-        if self.logical.colocated:
-            return
-        probe_set = set(probe_nodes)
-        for node in build_nodes:
-            self.stats.rows_shuffled += len(probe_set - {node})
+        if not self.logical.colocated:
+            self.stats.rows_shuffled += _broadcast_rows(build_nodes,
+                                                        set(probe_nodes))
 
     def _checkpoint(
         self, observed_left: int, observed_right: int
@@ -581,80 +710,66 @@ class _EquiJoinOp(PhysicalOperator):
 
     def _run(self) -> Iterator[ColumnBatch]:
         keys = self.logical.equi_keys
-        left_names, left_rows, left_nodes, left_prov = self._materialize(
-            self.left
-        )
-        right_names, right_rows, right_nodes, right_prov = self._materialize(
-            self.right
-        )
-        names = list(right_names) + [
-            n for n in left_names if n not in right_names
-        ]
-        build_side, strategy = self._checkpoint(len(left_rows),
-                                                len(right_rows))
+        left, left_prov = self._materialize(self.left)
+        right, right_prov = self._materialize(self.right)
+        build_side, strategy = self._checkpoint(left.num_rows,
+                                                right.num_rows)
         if build_side == "left":
-            self._charge_shuffle(left_nodes, right_nodes)
+            self._charge_shuffle(left.nodes, right.nodes)
         else:
-            self._charge_shuffle(right_nodes, left_nodes)
-        left_refs = [left_ref for left_ref, __ in keys]
-        right_refs = [right_ref for __, right_ref in keys]
+            self._charge_shuffle(right.nodes, left.nodes)
+        composite = len(keys) > 1
+        left_keys = self._keys(left, [left_ref for left_ref, __ in keys])
+        right_keys = self._keys(right, [right_ref for __, right_ref in keys])
         if strategy == "merge":
-            pairs = self._merge_pairs(
-                left_rows, right_rows, left_refs, right_refs
-            )
+            pairs = self._merge_pairs(left_keys, right_keys, composite)
         else:
-            pairs = self._hash_pairs(
-                left_rows, right_rows, left_refs, right_refs, build_side
-            )
+            pairs = self._hash_pairs(left_keys, right_keys, composite,
+                                     build_side)
         self._order_pairs(pairs, left_prov, right_prov)
-        yield from self._emit(
-            pairs, names, left_rows, right_rows, left_nodes,
-            left_prov, right_prov,
-        )
+        batch = self._emit(pairs, left, right, left_prov, right_prov)
+        if batch.num_rows:
+            yield batch
 
     def _hash_pairs(
         self,
-        left_rows: List[Dict[str, Any]],
-        right_rows: List[Dict[str, Any]],
-        left_refs: List[str],
-        right_refs: List[str],
+        left_keys: List[Any],
+        right_keys: List[Any],
+        composite: bool,
         build_side: str,
     ) -> List[Tuple[int, int]]:
         build_right = build_side != "left"
-        if build_right:
-            build_rows, build_refs = right_rows, right_refs
-            probe_rows, probe_refs = left_rows, left_refs
-        else:
-            build_rows, build_refs = left_rows, left_refs
-            probe_rows, probe_refs = right_rows, right_refs
-        table: Dict[Tuple[Any, ...], List[int]] = {}
-        for index, row in enumerate(build_rows):
-            key = self._key_of(row, build_refs)
-            if key is None:
+        build_keys, probe_keys = (
+            (right_keys, left_keys) if build_right else (left_keys, right_keys)
+        )
+        matchable = self._matchable
+        table: Dict[Any, List[int]] = {}
+        for index, key in enumerate(build_keys):
+            if not matchable(key, composite):
                 continue
-            table.setdefault(key, []).append(index)
+            bucket = table.get(key)
+            if bucket is None:
+                table[key] = [index]
+            else:
+                bucket.append(index)
         pairs: List[Tuple[int, int]] = []
-        for probe_index, row in enumerate(probe_rows):
-            key = self._key_of(row, probe_refs)
-            if key is None:
+        for probe_index, key in enumerate(probe_keys):
+            if not matchable(key, composite):
                 continue
-            for build_index in table.get(key, ()):
-                pairs.append(
-                    (probe_index, build_index)
-                    if build_right
-                    else (build_index, probe_index)
-                )
+            bucket = table.get(key)
+            if bucket is None:
+                continue
+            if build_right:
+                pairs.extend(zip(repeat(probe_index), bucket))
+            else:
+                pairs.extend(zip(bucket, repeat(probe_index)))
         return pairs
 
     def _merge_pairs(
-        self,
-        left_rows: List[Dict[str, Any]],
-        right_rows: List[Dict[str, Any]],
-        left_refs: List[str],
-        right_refs: List[str],
+        self, left_keys: List[Any], right_keys: List[Any], composite: bool
     ) -> List[Tuple[int, int]]:
-        left_keyed = self._sorted_keys(left_rows, left_refs)
-        right_keyed = self._sorted_keys(right_rows, right_refs)
+        left_keyed = self._sorted_keys(left_keys, composite)
+        right_keyed = self._sorted_keys(right_keys, composite)
         pairs: List[Tuple[int, int]] = []
         i = j = 0
         while i < len(left_keyed) and j < len(right_keyed):
@@ -680,21 +795,21 @@ class _EquiJoinOp(PhysicalOperator):
         return pairs
 
     def _sorted_keys(
-        self, rows: List[Dict[str, Any]], refs: List[str]
-    ) -> List[Tuple[Tuple[Any, ...], int]]:
-        keyed = []
-        for index, row in enumerate(rows):
-            key = self._key_of(row, refs)
-            if key is not None:
-                keyed.append((key, index))
+        self, keys: List[Any], composite: bool
+    ) -> List[Tuple[Any, int]]:
+        keyed = [
+            (key, index)
+            for index, key in enumerate(keys)
+            if self._matchable(key, composite)
+        ]
         keyed.sort(key=lambda item: item[0])
         return keyed
 
     def _order_pairs(
         self,
         pairs: List[Tuple[int, int]],
-        left_prov: Optional[List[Dict[str, int]]],
-        right_prov: Optional[List[Dict[str, int]]],
+        left_prov: Optional[Dict[str, List[int]]],
+        right_prov: Optional[Dict[str, List[int]]],
     ) -> None:
         restore = getattr(self.logical, "restore_order", None)
         if restore is None or left_prov is None or right_prov is None:
@@ -704,62 +819,74 @@ class _EquiJoinOp(PhysicalOperator):
         # Chain root: sort back into the binder's lexicographic order —
         # exactly the (a, b, c, ...) enumeration the legacy nested loops
         # over the original FROM order would have produced.
-        def binder_key(pair: Tuple[int, int]) -> Tuple[int, ...]:
-            merged = dict(left_prov[pair[0]])
-            merged.update(right_prov[pair[1]])
-            return tuple(merged[alias] for alias in restore)
+        provenance = [
+            (right_prov[alias], 1) if alias in right_prov
+            else (left_prov[alias], 0)
+            for alias in restore
+        ]
+        pairs.sort(key=lambda pair: tuple(
+            column[pair[side]] for column, side in provenance
+        ))
 
-        pairs.sort(key=binder_key)
+    def _residual(self) -> Optional[Expression]:
+        """The condition minus its equi-key conjuncts (None: nothing left)."""
+        keys = set(self.logical.equi_keys)
+        residual = [
+            conjunct
+            for conjunct in _split_and(self.logical.condition)
+            if not (
+                isinstance(conjunct, BinaryOp)
+                and conjunct.op == "="
+                and isinstance(conjunct.left, ColumnRef)
+                and isinstance(conjunct.right, ColumnRef)
+                and (
+                    (conjunct.left.name, conjunct.right.name) in keys
+                    or (conjunct.right.name, conjunct.left.name) in keys
+                )
+            )
+        ]
+        return _rebuild_and(residual) if residual else None
 
     def _emit(
         self,
         pairs: List[Tuple[int, int]],
-        names: List[str],
-        left_rows: List[Dict[str, Any]],
-        right_rows: List[Dict[str, Any]],
-        left_nodes: List[str],
-        left_prov: Optional[List[Dict[str, int]]] = None,
-        right_prov: Optional[List[Dict[str, int]]] = None,
-    ) -> Iterator[ColumnBatch]:
-        condition = self.logical.condition
-        restore = getattr(self.logical, "restore_order", None)
-        anchor_alias = restore[0] if restore else None
-        anchor_nodes = (
-            self.leaf_nodes.get(anchor_alias) if anchor_alias else None
-        )
-        tracking = (
-            self.output_provenance is not None
-            and left_prov is not None
-            and right_prov is not None
-        )
-        pending: List[Tuple[str, Dict[str, Any]]] = []
-        for left_index, right_index in pairs:
-            right_row = right_rows[right_index]
-            merged = dict(right_row)
-            merged.update(left_rows[left_index])  # left wins on ambiguity
-            merged.update({k: v for k, v in right_row.items() if "." in k})
-            if predicate_holds(condition, merged):
-                node = left_nodes[left_index]
-                if tracking:
-                    prov = dict(left_prov[left_index])
-                    prov.update(right_prov[right_index])
-                    self.output_provenance.append(prov)
-                    if anchor_nodes is not None:
-                        # legacy attribution: the binder-leftmost
-                        # relation's row produced the joined row
-                        node = anchor_nodes[prov[anchor_alias]]
-                pending.append((node, merged))
-                if len(pending) >= BATCH_ROWS:
-                    yield self._build(names, pending)
-                    pending = []
-        if pending:
-            yield self._build(names, pending)
-
-    def _build(
-        self, names: List[str], rows: List[Tuple[str, Dict[str, Any]]]
+        left: ColumnBatch,
+        right: ColumnBatch,
+        left_prov: Optional[Dict[str, List[int]]] = None,
+        right_prov: Optional[Dict[str, List[int]]] = None,
     ) -> ColumnBatch:
-        columns = [[row[name] for __, row in rows] for name in names]
-        return ColumnBatch(names, columns, [node for node, __ in rows])
+        sources = _merge_sources(left.names, right.names)
+        names = [name for name, __ in sources]
+        left_index = [left_row for left_row, __ in pairs]
+        right_index = [right_row for __, right_row in pairs]
+        columns = _gather(sources, left, right, left_index, right_index)
+        residual = self._residual()
+        if residual is not None and pairs:
+            keep = CompiledExpr(residual, column_classes(self.logical)).select(
+                dict(zip(names, columns)), len(pairs)
+            )
+            if len(keep) < len(pairs):
+                left_index = take(left_index, keep)
+                right_index = take(right_index, keep)
+                columns = [take(column, keep) for column in columns]
+        nodes = take(left.nodes, left_index)
+        tracking = (
+            self.tracking and left_prov is not None and right_prov is not None
+        )
+        if tracking:
+            assert left_prov is not None and right_prov is not None
+            prov = {alias: take(column, left_index)
+                    for alias, column in left_prov.items()}
+            prov.update({alias: take(column, right_index)
+                         for alias, column in right_prov.items()})
+            self.output_provenance = prov
+            restore = getattr(self.logical, "restore_order", None)
+            anchor_nodes = self.leaf_nodes.get(restore[0]) if restore else None
+            if anchor_nodes is not None:
+                # legacy attribution: the binder-leftmost relation's row
+                # produced the joined row
+                nodes = take(anchor_nodes, prov[restore[0]])
+        return ColumnBatch(names, columns, nodes)
 
 
 class HashJoinOp(_EquiJoinOp):
@@ -814,10 +941,12 @@ class FilterOp(PhysicalOperator):
         return self.logical.label()
 
     def _run(self) -> Iterator[ColumnBatch]:
-        predicate = self.logical.predicate
+        predicate = CompiledExpr(
+            self.logical.predicate, column_classes(self.logical)
+        )
         for batch in self.child.batches():
             self.stats.rows_in += batch.num_rows
-            filtered = _apply_predicate(batch, predicate)
+            filtered = _filter(batch, predicate)
             if filtered.num_rows:
                 yield filtered
 
@@ -825,9 +954,10 @@ class FilterOp(PhysicalOperator):
 class ProjectOp(PhysicalOperator):
     """Select-list evaluation; charges per-row output bytes to nodes.
 
-    Plain column references and ``*`` expansion copy column lists by
-    reference (the columnar fast path); remaining expressions evaluate
-    row-major across items, preserving the legacy error order.
+    Plain column references and ``*`` expansion pass column lists by
+    reference; never-raising expressions evaluate column-at-a-time; the
+    rest (and UDx calls) evaluate row-major across items, preserving the
+    legacy error order.
     """
 
     kind = "project"
@@ -855,6 +985,7 @@ class ProjectOp(PhysicalOperator):
         # resolution and projection errors, as in the legacy interpreter.
         batches = list(self.child.batches())
         self.stats.rows_in = sum(b.num_rows for b in batches)
+        classes = column_classes(node.child)
         plan: List[Tuple[str, Any]] = []  # (kind, payload)
         for item in node.items:
             if item.star:
@@ -863,12 +994,12 @@ class ProjectOp(PhysicalOperator):
             elif item.udf:
                 function = self.db.udx.lookup(item.udf)
                 plan.append(("udf", (function, item)))
-            elif (
-                isinstance(item.expression, ColumnRef)
-            ):
+            elif isinstance(item.expression, ColumnRef):
                 plan.append(("ref", item.expression))
             else:
-                plan.append(("expr", item.expression))
+                plan.append(
+                    ("expr", CompiledExpr(item.expression, classes))
+                )
         for batch in batches:
             yield self._project_batch(batch, plan)
 
@@ -876,70 +1007,74 @@ class ProjectOp(PhysicalOperator):
         self, batch: ColumnBatch, plan: List[Tuple[str, Any]]
     ) -> ColumnBatch:
         n = batch.num_rows
+        env = batch.env()
         out_columns: List[List[Any]] = []
-        row_major: List[Tuple[int, str, Any]] = []
+        row_major: List[Tuple[List[Any], Any]] = []
         for kind, payload in plan:
             if kind == "column":
                 # Star expansion uses row.get(): absent columns yield NULL.
-                idx = batch.index.get(payload)
-                out_columns.append(
-                    batch.columns[idx] if idx is not None else [None] * n
-                )
-            elif kind == "ref" and payload.name in batch.index:
-                out_columns.append(batch.columns[batch.index[payload.name]])
+                column = env.get(payload)
+                out_columns.append(column if column is not None else [None] * n)
+            elif kind == "ref" and payload.name in env:
+                out_columns.append(env[payload.name])
+            elif kind == "expr" and payload.columnar(env):
+                out_columns.append(payload.values(env, n))
             else:
                 slot: List[Any] = []
                 out_columns.append(slot)
-                row_major.append((len(out_columns) - 1, kind, payload))
-        if row_major:
-            for i in range(n):
-                view = RowView(batch, i)
-                for slot_index, kind, payload in row_major:
-                    if kind == "udf":
-                        function, item = payload
-                        value = function(
-                            [a.evaluate(view) for a in item.udf_args],
-                            item.parameters,
-                        )
-                    else:  # "ref" (missing column raises) or "expr"
-                        value = payload.evaluate(view)
-                    out_columns[slot_index].append(value)
-        self._charge_output(out_columns, batch.nodes, n)
+                row_major.append((slot, self._bind(kind, payload, env)))
+        for i in range(n):
+            for slot, evaluate in row_major:
+                slot.append(evaluate(i))
+        self._charge_output(out_columns, batch.nodes)
         return ColumnBatch(list(self.logical.output_columns), out_columns,
                            batch.nodes)
 
-    def _charge_output(
-        self, out_columns: List[List[Any]], nodes: List[str], n: int
-    ) -> None:
+    @staticmethod
+    def _bind(kind: str, payload: Any, env: Dict[str, List[Any]]):
+        """Row-major evaluator of one item: UDx, missing ref or expression."""
+        if kind == "udf":
+            function, item = payload
+            args = [arg.bind(env) for arg in item.udf_args]
+            parameters = item.parameters
+            return lambda i: function([arg(i) for arg in args], parameters)
+        if kind == "ref":  # a missing column: raises on the first row
+            return payload.bind(env)
+        return payload.expression.bind(env)
+
+    def _charge_output(self, out_columns: List[List[Any]],
+                       nodes: List[str]) -> None:
+        n = len(nodes)
+        if not n:
+            return
+        if nodes.count(nodes[0]) == n:  # one producing node (a scan batch)
+            nbytes = _total_bytes(out_columns)
+            self.cost.output(nodes[0], nbytes, n)
+            self.stats.bytes_out += nbytes
+            return
         # Runs of same-node rows collapse into one CostReport call; all
         # increments are integer-valued, so totals stay byte-identical.
-        run_node: Optional[str] = None
-        run_bytes = 0
-        run_rows = 0
-        for i in range(n):
-            nbytes = 0
-            for column in out_columns:
-                nbytes += _value_bytes(column[i])
-            node = nodes[i]
-            if node != run_node:
-                if run_rows:
-                    self.cost.output(run_node, run_bytes, run_rows)
-                run_node, run_bytes, run_rows = node, 0, 0
-            run_bytes += nbytes
-            run_rows += 1
+        row_bytes = [0] * n
+        for column in out_columns:
+            row_bytes = list(map(add, row_bytes, _column_bytes(column)))
+        start = 0
+        for node, run in groupby(nodes):
+            stop = start + sum(1 for __ in run)
+            nbytes = sum(row_bytes[start:stop])
+            self.cost.output(node, nbytes, stop - start)
             self.stats.bytes_out += nbytes
-        if run_rows:
-            self.cost.output(run_node, run_bytes, run_rows)
+            start = stop
 
 
 class AggregateOp(PhysicalOperator):
     """GROUP BY / aggregates with the legacy grouped-list algorithm.
 
-    Group keys keep insertion order; DISTINCT dedups via
-    ``dict.fromkeys``; HAVING evaluates against the output row (aliases);
-    output rows are attributed (and their bytes charged) to the
-    initiator.  The empty-input, no-GROUP-BY fallback row bypasses both
-    HAVING and output cost — a legacy quirk the differential tests pin.
+    Group keys keep insertion order, each group holding the positions of
+    its input rows; DISTINCT dedups via ``dict.fromkeys``; HAVING
+    evaluates against the output row (aliases); output rows are
+    attributed (and their bytes charged) to the initiator.  The
+    empty-input, no-GROUP-BY fallback row bypasses both HAVING and output
+    cost — a legacy quirk the differential tests pin.
     """
 
     kind = "aggregate"
@@ -963,45 +1098,61 @@ class AggregateOp(PhysicalOperator):
 
     def _run(self) -> Iterator[ColumnBatch]:
         node = self.logical
-        rows: List[Tuple[str, RowView]] = []
-        for batch in self.child.batches():
-            for i in range(batch.num_rows):
-                rows.append((batch.nodes[i], RowView(batch, i)))
-        self.stats.rows_in = len(rows)
+        batch = concat_batches(list(self.child.batches()))
+        n = self.stats.rows_in = batch.num_rows
         # Input-side charge: what the wire would have carried without
         # pushdown, per producing node (run-length batched, same totals).
-        run_node: Optional[str] = None
-        run_rows = 0
-        for producing_node, __ in rows:
-            if producing_node != run_node:
-                if run_rows:
-                    self.cost.aggregated(run_node, run_rows)
-                run_node, run_rows = producing_node, 0
-            run_rows += 1
-        if run_rows:
-            self.cost.aggregated(run_node, run_rows)
+        for producing_node, run in groupby(batch.nodes):
+            self.cost.aggregated(producing_node, sum(1 for __ in run))
 
-        groups: Dict[Tuple[Any, ...], List[RowView]] = {}
+        env = batch.env()
+        classes = column_classes(node.child)
+        groups: Dict[Any, List[int]] = {}
         if node.group_by:
-            for __, row in rows:
-                key = tuple(expr.evaluate(row) for expr in node.group_by)
-                groups.setdefault(key, []).append(row)
+            keys = _row_values(
+                [CompiledExpr(expr, classes) for expr in node.group_by], env, n
+            )
+            for position, key in enumerate(zip(*keys)):
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [position]
+                else:
+                    group.append(position)
         else:
-            groups[()] = [row for __, row in rows]
+            groups[()] = list(range(n))
 
+        # Argument values: whole columns when never-raising, else per
+        # group in the legacy (group, item, row) order.
+        arguments: Dict[int, Any] = {}
+        for index, item in enumerate(node.items):
+            if item.aggregate and item.aggregate_arg is not None:
+                compiled = CompiledExpr(item.aggregate_arg, classes)
+                if compiled.columnar(env):
+                    column = compiled.values(env, n)
+                    arguments[index] = lambda group, c=column: (
+                        c if len(group) == len(c) else take(c, group)
+                    )
+                else:
+                    row = item.aggregate_arg.bind(env)
+                    arguments[index] = lambda group, r=row: [r(i) for i in group]
+
+        # Binding resolves columns only; evaluation happens per group.
+        bound = {
+            index: item.expression.bind(env)
+            for index, item in enumerate(node.items)
+            if not item.aggregate and item.expression is not None
+        }
         columns = node.output_columns
         out: List[Tuple[Any, ...]] = []
-        for key in groups:
-            group_rows = groups[key]
+        for group in groups.values():
             values: List[Any] = []
-            for item in node.items:
+            for index, item in enumerate(node.items):
                 if item.aggregate:
-                    values.append(_aggregate_value(item, group_rows))
+                    values.append(
+                        _aggregate_value(item, group, arguments.get(index))
+                    )
                 elif item.expression is not None:
-                    if not group_rows:
-                        values.append(None)
-                    else:
-                        values.append(item.expression.evaluate(group_rows[0]))
+                    values.append(bound[index](group[0]) if group else None)
                 else:
                     raise SqlError("SELECT * cannot be combined with aggregates")
             row_tuple = tuple(values)
@@ -1009,31 +1160,59 @@ class AggregateOp(PhysicalOperator):
                 output_row = dict(zip(columns, row_tuple))
                 if not predicate_holds(node.having, output_row):
                     continue
-            nbytes = sum(_value_bytes(v) for v in row_tuple)
-            self.cost.output(self.initiator, nbytes)
-            self.stats.bytes_out += nbytes
             out.append(row_tuple)
+        out_columns = [list(col) for col in zip(*out)] if columns else []
+        if out:
+            nbytes = _total_bytes(out_columns)
+            self.cost.output(self.initiator, nbytes, len(out))
+            self.stats.bytes_out += nbytes
         if not node.group_by and not out:
             # Aggregates over an empty input still return one row.
             out.append(tuple(
-                _aggregate_value(item, []) if item.aggregate else None
+                _aggregate_value(item, [], None) if item.aggregate else None
                 for item in node.items
             ))
-        if out:
             out_columns = [list(col) for col in zip(*out)] if columns else []
+        if out:
             yield ColumnBatch(
                 list(columns), out_columns, [self.initiator] * len(out)
             )
 
 
-def _aggregate_value(item: ast.SelectItem, group_rows: List[Any]) -> Any:
+def _row_values(
+    compiled: List[CompiledExpr], env: Dict[str, List[Any]], n: int
+) -> List[List[Any]]:
+    """Each expression's values over ``n`` rows, in legacy row-major order.
+
+    Column-at-a-time expressions cannot raise, so computing them first
+    is unobservable; the rest interleave row by row, item by item.
+    """
+    out: List[List[Any]] = []
+    row_major: List[Tuple[List[Any], Any]] = []
+    for expr in compiled:
+        if expr.columnar(env):
+            out.append(expr.values(env, n))
+        else:
+            slot: List[Any] = []
+            out.append(slot)
+            row_major.append((slot, expr.expression.bind(env)))
+    for i in range(n):
+        for slot, evaluate in row_major:
+            slot.append(evaluate(i))
+    return out
+
+
+def _aggregate_value(item: ast.SelectItem, group: List[int], argument) -> Any:
+    """One aggregate over a group's positions; ``argument(group)`` gives
+    the argument's values for those positions."""
     name = item.aggregate
     if item.aggregate_arg is None:
         if name != "COUNT":
             raise SqlError(f"{name} requires an argument")
-        return len(group_rows)
-    values = [item.aggregate_arg.evaluate(row) for row in group_rows]
-    values = [v for v in values if v is not None]
+        return len(group)
+    values = argument(group) if group else []
+    if None in values:
+        values = [v for v in values if v is not None]
     if item.distinct:
         values = list(dict.fromkeys(values))
     if name == "COUNT":
@@ -1056,7 +1235,10 @@ class SortOp(PhysicalOperator):
 
     Keys evaluate against the *output* row (select-list aliases); an
     unknown column yields NULL rather than an error, and NULLs sort last
-    in both directions via :func:`repro.ordering.null_last_key`.
+    in both directions via :func:`repro.ordering.null_last_key`.  Key
+    columns of one comparable kind sort natively, one stable pass per key
+    from the last to the first, which orders rows exactly as the
+    composite ``null_last_key`` tuple does.
     """
 
     kind = "sort"
@@ -1071,34 +1253,65 @@ class SortOp(PhysicalOperator):
         return self.logical.label()
 
     def _run(self) -> Iterator[ColumnBatch]:
-        order_by = self.logical.order_by
-        names: List[str] = []
-        entries: List[Tuple[str, Tuple[Any, ...]]] = []
-        for batch in self.child.batches():
-            names = batch.names
-            entries.extend(zip(batch.nodes, batch.rows()))
-        self.stats.rows_in = len(entries)
-        if not entries:
+        batch = concat_batches(list(self.child.batches()))
+        n = self.stats.rows_in = batch.num_rows
+        if not n:
             return
+        names = batch.names
+        env = dict(zip(names, batch.columns))
+        keys = [
+            (self._key_values(order.expression, env, n), order.descending)
+            for order in self.logical.order_by
+        ]
+        order = list(range(n))
+        if all(_natively_sortable(values) for values, __ in keys):
+            for values, descending in reversed(keys):
+                order.sort(key=_native_key(values, descending),
+                           reverse=descending)
+        else:
+            order.sort(key=lambda i: tuple(
+                null_last_key(values[i], descending)
+                for values, descending in keys
+            ))
+        columns = [take(column, order) for column in batch.columns]
+        yield ColumnBatch(list(names), columns, take(batch.nodes, order))
 
-        def sort_key(entry: Tuple[str, Tuple[Any, ...]]):
-            __, row = entry
-            data = dict(zip(names, row))
-            key = []
-            for order in order_by:
-                try:
-                    value = order.expression.evaluate(data)
-                except SqlError:
-                    value = None
-                key.append(null_last_key(value, order.descending))
-            return tuple(key)
+    @staticmethod
+    def _key_values(
+        expression: Expression, env: Dict[str, List[Any]], n: int
+    ) -> List[Any]:
+        if isinstance(expression, ColumnRef):
+            column = env.get(expression.name)
+            return column if column is not None else [None] * n
+        row = expression.bind(env)
+        values: List[Any] = []
+        for i in range(n):
+            try:
+                values.append(row(i))
+            except SqlError:
+                values.append(None)
+        return values
 
-        entries = sorted(entries, key=sort_key)
-        columns = (
-            [list(col) for col in zip(*(row for __, row in entries))]
-            if names else []
-        )
-        yield ColumnBatch(list(names), columns, [node for node, __ in entries])
+
+def _natively_sortable(values: List[Any]) -> bool:
+    """True when the non-NULL values share one total order Python sorts
+    directly: numbers (no NaN) or strings."""
+    kinds = set(map(type, values))
+    kinds.discard(type(None))
+    if kinds == {str}:
+        return True
+    if not kinds <= {int, float, bool}:
+        return False
+    return float not in kinds or all(v == v for v in values if v is not None)
+
+
+def _native_key(values: List[Any], descending: bool):
+    """A sort key putting NULLs last under ``reverse=descending``."""
+    if None not in values:
+        return values.__getitem__
+    if descending:
+        return lambda i: (values[i] is not None, values[i])
+    return lambda i: (values[i] is None, values[i])
 
 
 class LimitOp(PhysicalOperator):
@@ -1130,7 +1343,7 @@ class LimitOp(PhysicalOperator):
                 remaining -= batch.num_rows
                 yield batch
             else:
-                sliced = _compact(batch, list(range(remaining)))
+                sliced = batch.take(range(remaining))
                 remaining = 0
                 yield sliced
 
@@ -1138,11 +1351,13 @@ class LimitOp(PhysicalOperator):
 class DmlScanOp(PhysicalOperator):
     """Matching scan for UPDATE/DELETE: rows with physical locations.
 
-    Yields post-predicate :class:`~repro.vertica.engine.ScanRow`s (the
-    DML executor needs container/row-index to stage delete vectors), so
-    it exposes ``scan_rows()`` instead of columnar batches.  The scan
-    still visits — and cost-charges — every replica copy, exactly like
-    the legacy DML path.
+    Runs the same container-at-a-time scan as ``TableScanOp`` over every
+    replica copy (so it cost-charges exactly like the legacy DML path)
+    and yields ``(container, row index, row dict)`` per matching row —
+    the DML executor stages delete vectors against the location and
+    UPDATE assigns from the dict.  A never-raising predicate selects a
+    container's matches column-at-a-time; any other predicate evaluates
+    row by row, interleaved with the caller's staging, as it always did.
     """
 
     kind = "scan-dml"
@@ -1172,28 +1387,50 @@ class DmlScanOp(PhysicalOperator):
         )
         return f"DML {self.logical.label()}{suffix}"
 
-    def scan_rows(self):
+    def matches(
+        self,
+    ) -> Iterator[Tuple[Optional[RosContainer], int, Dict[str, Any]]]:
         node = self.logical
-        predicate = node.predicate
+        names = node.table.column_names()
+        predicate = (
+            CompiledExpr(node.predicate, column_classes(node))
+            if node.predicate is not None
+            else None
+        )
         started = time.perf_counter()
         scanned_before = self.cost.rows_scanned
-        for scan_row in self.engine.scan(
+        for chunk in self.engine.scan_chunks(
             node.key,
             self.snapshot,
             self.txn,
             self.initiator,
+            names,
             cost=self.cost,
             for_update=True,
         ):
-            self.stats.rows_in += 1
-            if predicate is not None and not predicate_holds(
-                predicate, scan_row.data
-            ):
-                continue
-            self.stats.rows_out += 1
-            yield scan_row
+            self.stats.rows_in += chunk.size
+            positions = (
+                chunk.positions if chunk.positions is not None
+                else range(chunk.size)
+            )
+            env = dict(zip(names, chunk.columns))
+            if predicate is None:
+                matching: Iterator[int] = iter(positions)
+            elif predicate.columnar(env):
+                sliced = env if chunk.positions is None else {
+                    ref: take(env[ref], chunk.positions)
+                    for ref in predicate.refs
+                }
+                matching = iter(take(positions, predicate.select(
+                    sliced, chunk.size
+                )))
+            else:
+                row = predicate.expression.bind(env)
+                matching = (p for p in positions if row(p) is True)
+            for position in matching:
+                self.stats.rows_out += 1
+                data = {name: column[position]
+                        for name, column in zip(names, chunk.columns)}
+                yield chunk.container, position, data
         self.stats.rows_scanned += self.cost.rows_scanned - scanned_before
         self.stats.elapsed_s += time.perf_counter() - started
-
-    def _run(self) -> Iterator[ColumnBatch]:  # pragma: no cover - unused
-        raise NotImplementedError("DML scans stream ScanRows, not batches")

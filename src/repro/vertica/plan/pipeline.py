@@ -212,17 +212,18 @@ def dml_matching_rows(
 ) -> Iterator[Any]:
     """Matching rows of an UPDATE/DELETE, through the same pipeline.
 
-    Yields :class:`~repro.vertica.engine.ScanRow` objects (the caller
-    stages delete vectors against their physical locations).  The scan
-    visits every replica copy; the optimizer only constant-folds the
-    predicate — pruning would change the statement's CostReport.
+    Yields ``(container, row index, row dict)`` per matching row (the
+    caller stages delete vectors against the location; the container is
+    None for this transaction's own WOS rows).  The scan visits every
+    replica copy; the optimizer only constant-folds the predicate —
+    pruning would change the statement's CostReport.
     """
     plan = optimize(
         bind_dml_scan(engine.database, table_name, where), engine.database
     )
     assert isinstance(plan.root, logical.TableScan)
     op = physical.DmlScanOp(engine, plan.root, txn, initiator, snapshot, cost)
-    yield from op.scan_rows()
+    yield from op.matches()
 
 
 # -------------------------------------------------------------------- EXPLAIN

@@ -179,23 +179,24 @@ def collect_table_stats(
     """Full-scan statistics collection for one table (the ANALYZE path).
 
     Reads committed rows at the current epoch from the initiator's view of
-    the cluster; does not charge any query cost.
+    the cluster, one container at a time (live mask plus column slices);
+    does not charge any query cost.
     """
     table = database.catalog.table(table_name)
     snapshot = database.epochs.current
     column_names: List[str] = list(table.column_names())
     values: Dict[str, List[Any]] = {name: [] for name in column_names}
     row_count = 0
-    for scan_row in database.engine.scan(
+    for chunk in database.engine.scan_chunks(
         table.name,
         snapshot,
-        txn=None,
-        initiator=database.node_names[0],
-        cost=None,
+        None,
+        database.node_names[0],
+        column_names,
     ):
-        row_count += 1
-        for name in column_names:
-            values[name].append(scan_row.data.get(name))
+        row_count += chunk.size
+        for name, column in zip(column_names, chunk.sliced()):
+            values[name].extend(column)
     stats = TableStats(
         table=table.name,
         row_count=row_count,

@@ -14,9 +14,17 @@ commit.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.vertica.errors import CatalogError
+
+
+def take(column: Sequence[Any], positions: Sequence[int]) -> List[Any]:
+    """``[column[i] for i in positions]`` at C speed."""
+    if len(positions) > 1:
+        return list(itemgetter(*positions)(column))
+    return [column[i] for i in positions]
 
 
 class RosContainer:
@@ -56,6 +64,29 @@ class RosContainer:
         for index, delete_epoch in enumerate(self.delete_epochs):
             if delete_epoch == 0 or delete_epoch > snapshot_epoch:
                 yield index
+
+    def live_positions(self, snapshot_epoch: int) -> Optional[List[int]]:
+        """The live mask at ``snapshot_epoch`` as row indices, in order.
+
+        ``None`` means every row is visible — the common case of a
+        container with no delete vector entries — so callers can use the
+        column lists whole instead of slicing them.
+        """
+        if self.commit_epoch > snapshot_epoch:
+            return []
+        delete_epochs = self.delete_epochs
+        if not any(delete_epochs):
+            return None
+        return [
+            index
+            for index, delete_epoch in enumerate(delete_epochs)
+            if delete_epoch == 0 or delete_epoch > snapshot_epoch
+        ]
+
+    def live_count(self, snapshot_epoch: int) -> int:
+        """How many rows are visible at ``snapshot_epoch``."""
+        positions = self.live_positions(snapshot_epoch)
+        return self.nrows if positions is None else len(positions)
 
     def row(self, index: int) -> Dict[str, Any]:
         return {name: column[index]
@@ -130,6 +161,6 @@ class NodeStorage:
 
     def live_row_count(self, table: str, snapshot_epoch: int) -> int:
         return sum(
-            sum(1 for __ in container.live_rows(snapshot_epoch))
+            container.live_count(snapshot_epoch)
             for container in self.table_containers(table)
         )

@@ -153,8 +153,6 @@ def storage_container_stats(
     epoch = database.epochs.current
     for node_name, storage in database.storage.items():
         for table_name, containers in sorted(storage.containers.items()):
-            live = sum(
-                sum(1 for __ in c.live_rows(epoch)) for c in containers
-            )
+            live = sum(c.live_count(epoch) for c in containers)
             out.append((node_name, table_name, len(containers), live))
     return out

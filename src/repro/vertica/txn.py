@@ -20,11 +20,13 @@ The substrate provides what the connector's correctness rests on:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro import telemetry
 from repro.vertica.errors import LockContention, TransactionError
 from repro.vertica.storage import NodeStorage, RosContainer, WosBuffer
+
+_NO_ROWS: FrozenSet[int] = frozenset()
 
 ACTIVE = "ACTIVE"
 COMMITTED = "COMMITTED"
@@ -116,7 +118,8 @@ class Transaction:
         self.replica_wos: Dict[Tuple[str, str], WosBuffer] = {}
         #: staged deletes: (container, row_index)
         self.deletes: List[Tuple[RosContainer, int]] = []
-        self._deleted_keys: set = set()
+        #: id(container) -> row indices this transaction staged for delete
+        self._deleted_rows: Dict[int, Set[int]] = {}
         #: actions to run after a successful commit (e.g. TRUNCATE finalise)
         self.post_commit: List[Callable[[int], None]] = []
 
@@ -163,7 +166,7 @@ class Transaction:
     def stage_delete(self, container: RosContainer, row_index: int) -> None:
         self.require_active()
         self.deletes.append((container, row_index))
-        self._deleted_keys.add((id(container), row_index))
+        self._deleted_rows.setdefault(id(container), set()).add(row_index)
 
     def pending_rows(self, table: str) -> List[Dict[str, Any]]:
         """Read-your-writes: rows this transaction has staged for ``table``."""
@@ -176,7 +179,11 @@ class Transaction:
         return out
 
     def is_deleted_by_self(self, container: RosContainer, row_index: int) -> bool:
-        return (id(container), row_index) in self._deleted_keys
+        return row_index in self.deleted_by_self(container)
+
+    def deleted_by_self(self, container: RosContainer) -> Set[int]:
+        """Row indices of ``container`` this transaction staged for delete."""
+        return self._deleted_rows.get(id(container), _NO_ROWS)
 
     # -- outcome -------------------------------------------------------------------
     def commit(self, storage: Dict[str, NodeStorage]) -> int:
@@ -224,7 +231,7 @@ class Transaction:
             self.wos.clear()
             self.replica_wos.clear()
             self.deletes.clear()
-            self._deleted_keys.clear()
+            self._deleted_rows.clear()
             self.post_commit.clear()
         finally:
             self.status = ABORTED

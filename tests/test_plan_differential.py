@@ -113,6 +113,14 @@ def db():
     session.execute("CREATE VIEW adult AS SELECT id, age FROM people WHERE age >= 18")
     # A second committed batch so AT EPOCH reads see real history.
     session.execute("INSERT INTO people VALUES (7, 28, 'fay', 7.25)")
+    session.execute(
+        "CREATE TABLE flags (f BOOLEAN, g BOOLEAN, n INTEGER, x FLOAT) "
+        "SEGMENTED BY HASH(n) ALL NODES"
+    )
+    session.execute(
+        "INSERT INTO flags VALUES (true, false, 1, 1.5), (NULL, true, 2, NULL), "
+        "(false, NULL, NULL, 2.0), (true, true, 4, 4.0), (NULL, NULL, 5, -1.0)"
+    )
     return database
 
 
@@ -161,9 +169,54 @@ MATRIX = [
 ]
 
 
+#: shapes the executor evaluates column-at-a-time (never-raising, typed)
+#: next to near misses that must stay row-major to keep their errors
+COLUMNAR_MATRIX = [
+    "SELECT * FROM people WHERE id IN (1, NULL)",
+    "SELECT * FROM people WHERE id NOT IN (1, NULL)",
+    "SELECT id IN (1, NULL), id NOT IN (2, 3) FROM people",
+    "SELECT * FROM people WHERE score IN (12.5, 3)",
+    "SELECT * FROM people WHERE age BETWEEN NULL AND 40",
+    "SELECT * FROM people WHERE age BETWEEN id AND 40",
+    "SELECT age BETWEEN 17 AND id * 10 FROM people",
+    "SELECT name LIKE 'a%', name NOT LIKE '_o_' FROM people",
+    "SELECT * FROM people WHERE NOT (age > 20 OR score < 10.0)",
+    "SELECT age > score, age = score, id <> age FROM people",
+    "SELECT id * age + 1, age - id, score * score, score + 1.0 FROM people",
+    "SELECT id * 2.5, score + id FROM people",
+    "SELECT * FROM people WHERE age * 2 > id + 30 AND score * 2.0 >= 20.0",
+    "SELECT f AND g, f OR g, NOT f FROM flags",
+    "SELECT * FROM flags WHERE f AND g",
+    "SELECT * FROM flags WHERE f OR n > 2",
+    "SELECT * FROM flags WHERE n",
+    "SELECT n, x FROM flags WHERE n < x OR x IS NULL",
+    "SELECT f, g, COUNT(*), SUM(n), MIN(x) FROM flags GROUP BY f, g",
+    "SELECT n * 2 AS d, x FROM flags ORDER BY d DESC",
+    "SELECT n, x FROM flags ORDER BY x DESC, n",
+    "SELECT n, x FROM flags ORDER BY f, x",
+    "SELECT name, age FROM people ORDER BY age DESC, name",
+    "SELECT age + id AS k, COUNT(*) FROM people GROUP BY age + id ORDER BY k",
+    "SELECT age, SUM(score * 2.0), SUM(id / 2) FROM people GROUP BY age",
+    "SELECT id, age / (age - age) FROM people",
+    "SELECT id, name || 'x', age + name FROM people",
+    "SELECT * FROM people WHERE age > 'x' AND id > 0",
+    "SELECT p.id, d.dept, p.age * 2 FROM people p JOIN dept d "
+    "ON p.id = d.d_id AND p.age > 20",
+    "SELECT p.id, q.id FROM people p JOIN people q ON p.age = q.age "
+    "ORDER BY p.id, q.id",
+    "SELECT * FROM people WHERE SYNTHETIC_HASH() > 1000",
+    # int * float may overflow: the first row's division error must win
+    "SELECT age / 0, age * 1" + "0" * 400 + " * 1.5 FROM people",
+]
+
+
 class TestDeterministicMatrix:
     @pytest.mark.parametrize("sql", MATRIX)
     def test_matrix_statement(self, db, sql):
+        assert_identical(db, sql)
+
+    @pytest.mark.parametrize("sql", COLUMNAR_MATRIX)
+    def test_columnar_shape(self, db, sql):
         assert_identical(db, sql)
 
     @pytest.mark.parametrize(
@@ -364,6 +417,8 @@ JOIN_MATRIX = [
     "SELECT label, SUM(v) FROM fact JOIN dim ON k = k2 GROUP BY label ORDER BY label",
     # three-way chain through the unsegmented lookup
     "SELECT v, label, note FROM fact JOIN dim ON k = k2 JOIN lookup ON k = lk",
+    # self join under one alias: plain names resolve left, qualified right
+    "SELECT fact.k, k, fact.v, v FROM fact JOIN fact ON fact.k = k",
     # ORDER + LIMIT on top of a join
     "SELECT v, label FROM fact JOIN dim ON k = k2 ORDER BY v DESC LIMIT 2",
     # error path: FLOAT-vs-VARCHAR residual forces nested loop even when
