@@ -27,7 +27,7 @@ from repro.vertica.hashring import vertica_hash
 
 Row = Dict[str, Any]
 #: column name -> that column's values (one batch of rows)
-Env = Mapping[str, Sequence[Any]]
+Env = Mapping[str, List[Any]]
 #: row position -> value, for one bound batch
 RowFn = Callable[[int], Any]
 

@@ -24,7 +24,7 @@ them for the never-raising shapes only.
 from __future__ import annotations
 
 import operator
-from itertools import compress, repeat
+from itertools import compress
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.vertica.expr import (
@@ -41,6 +41,7 @@ from repro.vertica.expr import (
     _COMPARISON,
     _kleene_and,
     _kleene_or,
+    _null_if_any_null,
 )
 from repro.vertica.plan import logical
 from repro.vertica.plan.optimizer import (
@@ -54,6 +55,7 @@ from repro.vertica.storage import take
 #: whole-batch evaluator: (env, row count) -> one value per row
 Vector = Callable[[Env, int], List[Any]]
 
+_EQUALITY = ("=", "<>", "!=")
 _OPERATORS: Dict[str, Callable[[Any, Any], Any]] = {
     "+": operator.add,
     "-": operator.sub,
@@ -181,37 +183,30 @@ def _binary_vector(expr: BinaryOp) -> Vector:
     op = expr.op
     if op in ("AND", "OR"):
         kleene = _kleene_and if op == "AND" else _kleene_or
-        # Two bool-only sides with no NULL: plain &/| is Kleene logic.
-        plain = operator.and_ if op == "AND" else operator.or_
-        boolean = _boolean(expr.left) and _boolean(expr.right)
+        if not (_boolean(expr.left) and _boolean(expr.right)):
+            return lambda env, n: list(map(kleene, left(env, n), right(env, n)))
+        # Bool-only sides: plain &/| is Kleene logic, and a NULL operand
+        # makes &/| raise TypeError instead of scanning for it up front.
+        fast = operator.and_ if op == "AND" else operator.or_
+    else:
+        fast = _OPERATORS[op]
+        kleene = _null_if_any_null(fast)
+        if op in _EQUALITY:  # NULL = x is False, not an error: scan first
+            def equality(env: Env, n: int) -> List[Any]:
+                a, b = left(env, n), right(env, n)
+                if None not in a and None not in b:
+                    return list(map(fast, a, b))
+                return list(map(kleene, a, b))
 
-        def logic(env: Env, n: int) -> List[Any]:
-            a, b = left(env, n), right(env, n)
-            if boolean and None not in a and None not in b:
-                return list(map(plain, a, b))
-            return list(map(kleene, a, b))
+            return equality
 
-        return logic
-    apply = _OPERATORS[op]
-    if isinstance(expr.right, Literal) and expr.right.value is not None:
-        constant = expr.right.value
-
-        def with_constant(env: Env, n: int) -> List[Any]:
-            a = left(env, n)
-            if None not in a:
-                return list(map(apply, a, repeat(constant)))
-            return [None if x is None else apply(x, constant) for x in a]
-
-        return with_constant
-
+    # Never-raising operands of one class: TypeError means a NULL operand.
     def binary(env: Env, n: int) -> List[Any]:
         a, b = left(env, n), right(env, n)
-        if None not in a and None not in b:
-            return list(map(apply, a, b))
-        return [
-            None if x is None or y is None else apply(x, y)
-            for x, y in zip(a, b)
-        ]
+        try:
+            return list(map(fast, a, b))
+        except TypeError:
+            return list(map(kleene, a, b))
 
     return binary
 

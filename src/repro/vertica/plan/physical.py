@@ -65,7 +65,16 @@ import time
 from collections import Counter
 from itertools import chain, groupby, repeat
 from operator import add
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.ordering import null_last_key
 from repro.vertica.engine import CostReport, ScanChunk, _value_bytes
@@ -215,6 +224,11 @@ def _filter(batch: ColumnBatch, predicate: CompiledExpr) -> ColumnBatch:
     if len(keep) == batch.num_rows:
         return batch
     return batch.take(keep)
+
+
+def _runs(nodes: List[str]) -> List[Tuple[str, int]]:
+    """(node, length) of each run of consecutive equal nodes, in order."""
+    return [(node, len(list(run))) for node, run in groupby(nodes)]
 
 
 def _column_bytes(column: List[Any]) -> List[int]:
@@ -569,12 +583,13 @@ class JoinOp(PhysicalOperator):
             self.logical.condition, column_classes(self.logical)
         )
         width = right.num_rows
-        sources: Optional[List[Tuple[str, bool]]] = None
+        sources: List[Tuple[str, bool]] = []
+        names: List[str] = []
         left_node_set: set = set()
         for batch in self.left.batches():
-            if sources is None:
+            if not sources:
                 sources = _merge_sources(batch.names, right.names)
-            names = [name for name, __ in sources]
+                names = [name for name, __ in sources]
             self.stats.rows_in += batch.num_rows
             left_node_set.update(batch.nodes)
             if not width:
@@ -742,32 +757,32 @@ class _EquiJoinOp(PhysicalOperator):
         build_keys, probe_keys = (
             (right_keys, left_keys) if build_right else (left_keys, right_keys)
         )
-        matchable = self._matchable
         table: Dict[Any, List[int]] = {}
         for index, key in enumerate(build_keys):
-            if not matchable(key, composite):
-                continue
             bucket = table.get(key)
             if bucket is None:
                 table[key] = [index]
             else:
                 bucket.append(index)
-        pairs: List[Tuple[int, int]] = []
-        for probe_index, key in enumerate(probe_keys):
-            if not matchable(key, composite):
-                continue
-            bucket = table.get(key)
-            if bucket is None:
-                continue
-            if build_right:
-                pairs.extend(zip(repeat(probe_index), bucket))
-            else:
-                pairs.extend(zip(bucket, repeat(probe_index)))
-        return pairs
+        # NULL never equi-matches: drop NULL build keys, and a probe key
+        # holding a NULL then finds no bucket.
+        for key in [k for k in table if not self._matchable(k, composite)]:
+            del table[key]
+        buckets = list(map(table.get, probe_keys))
+        matched = [i for i, bucket in enumerate(buckets) if bucket is not None]
+        if build_right:
+            return [(i, b) for i in matched for b in buckets[i]]
+        return [(b, i) for i in matched for b in buckets[i]]
 
     def _merge_pairs(
         self, left_keys: List[Any], right_keys: List[Any], composite: bool
     ) -> List[Tuple[int, int]]:
+        if not composite:
+            # Merge over 1-tuples: tuple equality's identity shortcut keeps
+            # a NaN key equal to itself, so every group loop advances.
+            left_keys = [(key,) for key in left_keys]
+            right_keys = [(key,) for key in right_keys]
+            composite = True
         left_keyed = self._sorted_keys(left_keys, composite)
         right_keyed = self._sorted_keys(right_keys, composite)
         pairs: List[Tuple[int, int]] = []
@@ -870,11 +885,7 @@ class _EquiJoinOp(PhysicalOperator):
                 right_index = take(right_index, keep)
                 columns = [take(column, keep) for column in columns]
         nodes = take(left.nodes, left_index)
-        tracking = (
-            self.tracking and left_prov is not None and right_prov is not None
-        )
-        if tracking:
-            assert left_prov is not None and right_prov is not None
+        if self.tracking and left_prov is not None and right_prov is not None:
             prov = {alias: take(column, left_index)
                     for alias, column in left_prov.items()}
             prov.update({alias: take(column, right_index)
@@ -1058,12 +1069,11 @@ class ProjectOp(PhysicalOperator):
         for column in out_columns:
             row_bytes = list(map(add, row_bytes, _column_bytes(column)))
         start = 0
-        for node, run in groupby(nodes):
-            stop = start + sum(1 for __ in run)
-            nbytes = sum(row_bytes[start:stop])
-            self.cost.output(node, nbytes, stop - start)
+        for node, length in _runs(nodes):
+            nbytes = sum(row_bytes[start:start + length])
+            self.cost.output(node, nbytes, length)
             self.stats.bytes_out += nbytes
-            start = stop
+            start += length
 
 
 class AggregateOp(PhysicalOperator):
@@ -1102,8 +1112,8 @@ class AggregateOp(PhysicalOperator):
         n = self.stats.rows_in = batch.num_rows
         # Input-side charge: what the wire would have carried without
         # pushdown, per producing node (run-length batched, same totals).
-        for producing_node, run in groupby(batch.nodes):
-            self.cost.aggregated(producing_node, sum(1 for __ in run))
+        for producing_node, length in _runs(batch.nodes):
+            self.cost.aggregated(producing_node, length)
 
         env = batch.env()
         classes = column_classes(node.child)
@@ -1112,7 +1122,11 @@ class AggregateOp(PhysicalOperator):
             keys = _row_values(
                 [CompiledExpr(expr, classes) for expr in node.group_by], env, n
             )
-            for position, key in enumerate(zip(*keys)):
+            # One key column groups by its values: a 1-tuple key and its
+            # value are equal and hash alike, NaN identity included.
+            for position, key in enumerate(
+                keys[0] if len(keys) == 1 else zip(*keys)
+            ):
                 group = groups.get(key)
                 if group is None:
                     groups[key] = [position]
@@ -1121,41 +1135,15 @@ class AggregateOp(PhysicalOperator):
         else:
             groups[()] = list(range(n))
 
-        # Argument values: whole columns when never-raising, else per
-        # group in the legacy (group, item, row) order.
-        arguments: Dict[int, Any] = {}
-        for index, item in enumerate(node.items):
-            if item.aggregate and item.aggregate_arg is not None:
-                compiled = CompiledExpr(item.aggregate_arg, classes)
-                if compiled.columnar(env):
-                    column = compiled.values(env, n)
-                    arguments[index] = lambda group, c=column: (
-                        c if len(group) == len(c) else take(c, group)
-                    )
-                else:
-                    row = item.aggregate_arg.bind(env)
-                    arguments[index] = lambda group, r=row: [r(i) for i in group]
-
-        # Binding resolves columns only; evaluation happens per group.
-        bound = {
-            index: item.expression.bind(env)
-            for index, item in enumerate(node.items)
-            if not item.aggregate and item.expression is not None
-        }
+        # One evaluator per item, over a group's positions, called in the
+        # legacy (group, item) order.
+        evaluators = [
+            _item_evaluator(item, env, n, classes) for item in node.items
+        ]
         columns = node.output_columns
         out: List[Tuple[Any, ...]] = []
         for group in groups.values():
-            values: List[Any] = []
-            for index, item in enumerate(node.items):
-                if item.aggregate:
-                    values.append(
-                        _aggregate_value(item, group, arguments.get(index))
-                    )
-                elif item.expression is not None:
-                    values.append(bound[index](group[0]) if group else None)
-                else:
-                    raise SqlError("SELECT * cannot be combined with aggregates")
-            row_tuple = tuple(values)
+            row_tuple = tuple([evaluate(group) for evaluate in evaluators])
             if node.having is not None:
                 output_row = dict(zip(columns, row_tuple))
                 if not predicate_holds(node.having, output_row):
@@ -1169,7 +1157,7 @@ class AggregateOp(PhysicalOperator):
         if not node.group_by and not out:
             # Aggregates over an empty input still return one row.
             out.append(tuple(
-                _aggregate_value(item, [], None) if item.aggregate else None
+                _aggregator(item, list)([]) if item.aggregate else None
                 for item in node.items
             ))
             out_columns = [list(col) for col in zip(*out)] if columns else []
@@ -1202,32 +1190,77 @@ def _row_values(
     return out
 
 
-def _aggregate_value(item: ast.SelectItem, group: List[int], argument) -> Any:
+#: an aggregate's result over its non-NULL argument values (non-empty,
+#: except for COUNT)
+_FINISH: Dict[str, Callable[[List[Any]], Any]] = {
+    "COUNT": len,
+    "SUM": sum,
+    "AVG": lambda values: sum(values) / len(values),
+    "MIN": min,
+    "MAX": max,
+}
+
+
+def _item_evaluator(
+    item: ast.SelectItem,
+    env: Dict[str, List[Any]],
+    n: int,
+    classes: Dict[str, str],
+) -> Callable[[List[int]], Any]:
+    """One select-list item of an aggregate, as a function of a group.
+
+    Aggregate arguments are whole columns when never-raising, else they
+    evaluate per group, row by row, in the legacy order.
+    """
+    if item.aggregate:
+        argument = item.aggregate_arg
+        if argument is None:
+            return _aggregator(item, list)
+        compiled = CompiledExpr(argument, classes)
+        if compiled.columnar(env):
+            column = compiled.values(env, n)
+            return _aggregator(item, lambda group: (
+                column if len(group) == len(column) else take(column, group)
+            ))
+        row = argument.bind(env)
+        return _aggregator(item, lambda group: [row(i) for i in group])
+    if item.expression is None:
+        def star(group: List[int]) -> Any:
+            raise SqlError("SELECT * cannot be combined with aggregates")
+
+        return star
+    row = item.expression.bind(env)
+    return lambda group: row(group[0]) if group else None
+
+
+def _aggregator(
+    item: ast.SelectItem, argument: Callable[[List[int]], List[Any]]
+) -> Callable[[List[int]], Any]:
     """One aggregate over a group's positions; ``argument(group)`` gives
     the argument's values for those positions."""
     name = item.aggregate
     if item.aggregate_arg is None:
         if name != "COUNT":
-            raise SqlError(f"{name} requires an argument")
-        return len(group)
-    values = argument(group) if group else []
-    if None in values:
-        values = [v for v in values if v is not None]
-    if item.distinct:
-        values = list(dict.fromkeys(values))
-    if name == "COUNT":
-        return len(values)
-    if not values:
-        return None
-    if name == "SUM":
-        return sum(values)
-    if name == "AVG":
-        return sum(values) / len(values)
-    if name == "MIN":
-        return min(values)
-    if name == "MAX":
-        return max(values)
-    raise SqlError(f"unknown aggregate {name!r}")  # pragma: no cover
+            def missing(group: List[int]) -> Any:
+                raise SqlError(f"{name} requires an argument")
+
+            return missing
+        return len
+    if name not in _FINISH:
+        raise SqlError(f"unknown aggregate {name!r}")  # pragma: no cover
+    finish, distinct = _FINISH[name], item.distinct
+
+    def aggregate(group: List[int]) -> Any:
+        values = argument(group) if group else []
+        if None in values:
+            values = [v for v in values if v is not None]
+        if distinct:
+            values = list(dict.fromkeys(values))
+        if not values and name != "COUNT":
+            return None
+        return finish(values)
+
+    return aggregate
 
 
 class SortOp(PhysicalOperator):

@@ -190,9 +190,9 @@ def collect_table_stats(
     for chunk in database.engine.scan_chunks(
         table.name,
         snapshot,
-        None,
-        database.node_names[0],
-        column_names,
+        txn=None,
+        initiator=database.node_names[0],
+        columns=column_names,
     ):
         row_count += chunk.size
         for name, column in zip(column_names, chunk.sliced()):

@@ -20,7 +20,17 @@ The substrate provides what the connector's correctness rests on:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro import telemetry
 from repro.vertica.errors import LockContention, TransactionError
@@ -181,7 +191,7 @@ class Transaction:
     def is_deleted_by_self(self, container: RosContainer, row_index: int) -> bool:
         return row_index in self.deleted_by_self(container)
 
-    def deleted_by_self(self, container: RosContainer) -> Set[int]:
+    def deleted_by_self(self, container: RosContainer) -> AbstractSet[int]:
         """Row indices of ``container`` this transaction staged for delete."""
         return self._deleted_rows.get(id(container), _NO_ROWS)
 

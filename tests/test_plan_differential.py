@@ -459,6 +459,36 @@ class TestJoinMatrix:
         )
 
 
+def test_nan_join_keys():
+    """NaN keys (COPY reads 'nan') match only themselves, by identity.
+
+    Hash, nested-loop and auto plans equal the legacy interpreter.  The
+    merge join must terminate; its answer is known to drop rows, because
+    a NaN in the key column breaks the sort order the merge walks.
+    """
+    db = VerticaDatabase(num_nodes=3)
+    session = db.connect()
+    session.execute(
+        "CREATE TABLE a (x FLOAT, p INTEGER) SEGMENTED BY HASH(p) ALL NODES"
+    )
+    session.execute(
+        "CREATE TABLE b (y FLOAT, q INTEGER) SEGMENTED BY HASH(q) ALL NODES"
+    )
+    session.execute("COPY a FROM STDIN DELIMITER ','",
+                    copy_data="nan,1\n1.5,2\nnan,3\n2.0,4\n,5\n")
+    session.execute("COPY b FROM STDIN DELIMITER ','",
+                    copy_data="nan,1\n1.5,2\n2.0,3\n2.0,4\n")
+    sql = "SELECT p, q FROM a JOIN b ON x = y"
+    for strategy in ("auto", "hash", "nested-loop"):
+        assert_identical_with_strategy(db, sql, strategy)
+    expected = set(session.execute(sql).rows)
+    db.join_strategy = "merge"
+    try:
+        assert set(session.execute(sql).rows) <= expected
+    finally:
+        db.join_strategy = "auto"
+
+
 # ------------------------------------------------- randomized join layer
 join_rows = st.lists(
     st.tuples(
