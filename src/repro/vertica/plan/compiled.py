@@ -37,14 +37,16 @@ from repro.vertica.expr import (
     IsNull,
     Like,
     Literal,
+    RowFn,
     UnaryOp,
-    _COMPARISON,
     _kleene_and,
     _kleene_or,
     _null_if_any_null,
 )
 from repro.vertica.plan import logical
 from repro.vertica.plan.optimizer import (
+    _EQUALITY_OPS,
+    _RANGE_OPS,
     _join_scans,
     _never_raises,
     _scan_type_classes,
@@ -55,7 +57,6 @@ from repro.vertica.storage import take
 #: whole-batch evaluator: (env, row count) -> one value per row
 Vector = Callable[[Env, int], List[Any]]
 
-_EQUALITY = ("=", "<>", "!=")
 _OPERATORS: Dict[str, Callable[[Any, Any], Any]] = {
     "+": operator.add,
     "-": operator.sub,
@@ -105,6 +106,10 @@ class CompiledExpr:
         """True when this batch can be evaluated column-at-a-time."""
         return self._vector is not None and all(r in env for r in self.refs)
 
+    def bind(self, env: Env) -> RowFn:
+        """Row-major form: see :meth:`Expression.bind`."""
+        return self.expression.bind(env)
+
     def values(self, env: Env, n: int) -> List[Any]:
         """The expression's value on each of the batch's ``n`` rows."""
         if self.columnar(env):
@@ -142,7 +147,7 @@ def _boolean(expr: Expression) -> bool:
     if isinstance(expr, Literal):
         return expr.value is None or isinstance(expr.value, bool)
     if isinstance(expr, BinaryOp):
-        return expr.op in ("AND", "OR") or expr.op in _COMPARISON
+        return expr.op in ("AND", "OR", *_EQUALITY_OPS, *_RANGE_OPS)
     if isinstance(expr, UnaryOp):
         return expr.op == "NOT"
     return isinstance(expr, (IsNull, InList, Between, Like))
@@ -191,7 +196,7 @@ def _binary_vector(expr: BinaryOp) -> Vector:
     else:
         fast = _OPERATORS[op]
         kleene = _null_if_any_null(fast)
-        if op in _EQUALITY:  # NULL = x is False, not an error: scan first
+        if op in _EQUALITY_OPS:  # NULL = x is False, not an error: scan first
             def equality(env: Env, n: int) -> List[Any]:
                 a, b = left(env, n), right(env, n)
                 if None not in a and None not in b:

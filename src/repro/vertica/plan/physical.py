@@ -64,11 +64,11 @@ from __future__ import annotations
 import time
 from collections import Counter
 from itertools import chain, groupby, repeat
-from operator import add
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -231,16 +231,6 @@ def _runs(nodes: List[str]) -> List[Tuple[str, int]]:
     return [(node, len(list(run))) for node, run in groupby(nodes)]
 
 
-def _column_bytes(column: List[Any]) -> List[int]:
-    """Per-value wire bytes of one output column (``_value_bytes``)."""
-    kinds = set(map(type, column))
-    if kinds <= {int, float}:
-        return [8] * len(column)
-    if kinds == {str}:
-        return list(map(len, map(str.encode, column)))
-    return list(map(_value_bytes, column))
-
-
 def _total_bytes(columns: List[List[Any]]) -> int:
     """Wire bytes of whole output columns: ``_value_bytes`` summed."""
     total = 0
@@ -363,7 +353,7 @@ class TableScanOp(PhysicalOperator):
 
 
 def _coalesce(chunks: Iterator[ScanChunk]) -> Iterator[List[ScanChunk]]:
-    """Runs of consecutive same-node chunks holding >= BATCH_ROWS rows.
+    """Consecutive same-node chunks, grouped until they hold BATCH_ROWS rows.
 
     Small containers share a batch; batches never span nodes, so a
     projection charges each batch's output to one node in one call.
@@ -997,80 +987,45 @@ class ProjectOp(PhysicalOperator):
         batches = list(self.child.batches())
         self.stats.rows_in = sum(b.num_rows for b in batches)
         classes = column_classes(node.child)
-        plan: List[Tuple[str, Any]] = []  # (kind, payload)
+        # A ``*``-expanded column name, or an evaluable item.
+        items: List[Any] = []
         for item in node.items:
             if item.star:
-                for column in node.source_columns:
-                    plan.append(("column", column))
+                items.extend(node.source_columns)
             elif item.udf:
-                function = self.db.udx.lookup(item.udf)
-                plan.append(("udf", (function, item)))
-            elif isinstance(item.expression, ColumnRef):
-                plan.append(("ref", item.expression))
+                items.append(_UdxCall(self.db.udx.lookup(item.udf), item))
             else:
-                plan.append(
-                    ("expr", CompiledExpr(item.expression, classes))
-                )
+                items.append(CompiledExpr(item.expression, classes))
         for batch in batches:
-            yield self._project_batch(batch, plan)
+            yield self._project_batch(batch, items)
 
-    def _project_batch(
-        self, batch: ColumnBatch, plan: List[Tuple[str, Any]]
-    ) -> ColumnBatch:
+    def _project_batch(self, batch: ColumnBatch,
+                       items: List[Any]) -> ColumnBatch:
         n = batch.num_rows
         env = batch.env()
-        out_columns: List[List[Any]] = []
-        row_major: List[Tuple[List[Any], Any]] = []
-        for kind, payload in plan:
-            if kind == "column":
-                # Star expansion uses row.get(): absent columns yield NULL.
-                column = env.get(payload)
-                out_columns.append(column if column is not None else [None] * n)
-            elif kind == "ref" and payload.name in env:
-                out_columns.append(env[payload.name])
-            elif kind == "expr" and payload.columnar(env):
-                out_columns.append(payload.values(env, n))
-            else:
-                slot: List[Any] = []
-                out_columns.append(slot)
-                row_major.append((slot, self._bind(kind, payload, env)))
-        for i in range(n):
-            for slot, evaluate in row_major:
-                slot.append(evaluate(i))
+        values = iter(_row_values(
+            [item for item in items if not isinstance(item, str)], env, n
+        ))
+        # Star expansion uses row.get(): absent columns yield NULL.
+        out_columns = [
+            next(values) if not isinstance(item, str)
+            else env[item] if item in env else [None] * n
+            for item in items
+        ]
         self._charge_output(out_columns, batch.nodes)
         return ColumnBatch(list(self.logical.output_columns), out_columns,
                            batch.nodes)
 
-    @staticmethod
-    def _bind(kind: str, payload: Any, env: Dict[str, List[Any]]):
-        """Row-major evaluator of one item: UDx, missing ref or expression."""
-        if kind == "udf":
-            function, item = payload
-            args = [arg.bind(env) for arg in item.udf_args]
-            parameters = item.parameters
-            return lambda i: function([arg(i) for arg in args], parameters)
-        if kind == "ref":  # a missing column: raises on the first row
-            return payload.bind(env)
-        return payload.expression.bind(env)
-
     def _charge_output(self, out_columns: List[List[Any]],
                        nodes: List[str]) -> None:
-        n = len(nodes)
-        if not n:
-            return
-        if nodes.count(nodes[0]) == n:  # one producing node (a scan batch)
-            nbytes = _total_bytes(out_columns)
-            self.cost.output(nodes[0], nbytes, n)
-            self.stats.bytes_out += nbytes
-            return
         # Runs of same-node rows collapse into one CostReport call; all
         # increments are integer-valued, so totals stay byte-identical.
-        row_bytes = [0] * n
-        for column in out_columns:
-            row_bytes = list(map(add, row_bytes, _column_bytes(column)))
         start = 0
         for node, length in _runs(nodes):
-            nbytes = sum(row_bytes[start:start + length])
+            nbytes = _total_bytes(
+                out_columns if length == len(nodes)
+                else [column[start:start + length] for column in out_columns]
+            )
             self.cost.output(node, nbytes, length)
             self.stats.bytes_out += nbytes
             start += length
@@ -1124,9 +1079,8 @@ class AggregateOp(PhysicalOperator):
             )
             # One key column groups by its values: a 1-tuple key and its
             # value are equal and hash alike, NaN identity included.
-            for position, key in enumerate(
-                keys[0] if len(keys) == 1 else zip(*keys)
-            ):
+            row_keys: Iterable[Any] = keys[0] if len(keys) == 1 else zip(*keys)
+            for position, key in enumerate(row_keys):
                 group = groups.get(key)
                 if group is None:
                     groups[key] = [position]
@@ -1167,23 +1121,40 @@ class AggregateOp(PhysicalOperator):
             )
 
 
-def _row_values(
-    compiled: List[CompiledExpr], env: Dict[str, List[Any]], n: int
-) -> List[List[Any]]:
-    """Each expression's values over ``n`` rows, in legacy row-major order.
+class _UdxCall:
+    """A UDx select item: opaque code, so always evaluated row-major."""
 
-    Column-at-a-time expressions cannot raise, so computing them first
-    is unobservable; the rest interleave row by row, item by item.
+    def __init__(self, function, item: ast.SelectItem):
+        self.function = function
+        self.item = item
+
+    def columnar(self, env: Dict[str, List[Any]]) -> bool:
+        return False
+
+    def bind(self, env: Dict[str, List[Any]]):
+        function, parameters = self.function, self.item.parameters
+        args = [arg.bind(env) for arg in self.item.udf_args]
+        return lambda i: function([arg(i) for arg in args], parameters)
+
+
+def _row_values(
+    items: List[Any], env: Dict[str, List[Any]], n: int
+) -> List[List[Any]]:
+    """Each item's values over ``n`` rows, in legacy row-major order.
+
+    Items are compiled expressions or UDx calls.  Column-at-a-time ones
+    cannot raise, so computing them first is unobservable; the rest
+    interleave row by row, item by item.
     """
     out: List[List[Any]] = []
     row_major: List[Tuple[List[Any], Any]] = []
-    for expr in compiled:
-        if expr.columnar(env):
-            out.append(expr.values(env, n))
+    for item in items:
+        if item.columnar(env):
+            out.append(item.values(env, n))
         else:
             slot: List[Any] = []
             out.append(slot)
-            row_major.append((slot, expr.expression.bind(env)))
+            row_major.append((slot, item.bind(env)))
     for i in range(n):
         for slot, evaluate in row_major:
             slot.append(evaluate(i))
@@ -1291,11 +1262,11 @@ class SortOp(PhysicalOperator):
         if not n:
             return
         names = batch.names
-        env = dict(zip(names, batch.columns))
-        keys = [
-            (self._key_values(order.expression, env, n), order.descending)
-            for order in self.logical.order_by
-        ]
+        order_by = self.logical.order_by
+        keys = list(zip(
+            _sort_keys(order_by, dict(zip(names, batch.columns)), n),
+            [order.descending for order in order_by],
+        ))
         order = list(range(n))
         if all(_natively_sortable(values) for values, __ in keys):
             for values, descending in reversed(keys):
@@ -1309,21 +1280,33 @@ class SortOp(PhysicalOperator):
         columns = [take(column, order) for column in batch.columns]
         yield ColumnBatch(list(names), columns, take(batch.nodes, order))
 
-    @staticmethod
-    def _key_values(
-        expression: Expression, env: Dict[str, List[Any]], n: int
-    ) -> List[Any]:
+
+def _sort_keys(
+    order_by: List[ast.OrderItem], env: Dict[str, List[Any]], n: int
+) -> List[List[Any]]:
+    """Each ORDER BY key's value per row; an SqlError reads as NULL.
+
+    Computed keys evaluate row by row, key by key, as the legacy sort
+    key did, so any other error surfaces from the same row and key.
+    """
+    out: List[List[Any]] = []
+    row_major: List[Tuple[List[Any], Any]] = []
+    for order in order_by:
+        expression = order.expression
         if isinstance(expression, ColumnRef):
             column = env.get(expression.name)
-            return column if column is not None else [None] * n
-        row = expression.bind(env)
-        values: List[Any] = []
-        for i in range(n):
+            out.append(column if column is not None else [None] * n)
+        else:
+            slot: List[Any] = []
+            out.append(slot)
+            row_major.append((slot, expression.bind(env)))
+    for i in range(n):
+        for slot, row in row_major:
             try:
-                values.append(row(i))
+                slot.append(row(i))
             except SqlError:
-                values.append(None)
-        return values
+                slot.append(None)
+    return out
 
 
 def _natively_sortable(values: List[Any]) -> bool:
