@@ -111,12 +111,10 @@ class CompiledExpr:
         return self.expression.bind(env)
 
     def values(self, env: Env, n: int) -> List[Any]:
-        """The expression's value on each of the batch's ``n`` rows."""
-        if self.columnar(env):
-            assert self._vector is not None
-            return self._vector(env, n)
-        row = self.expression.bind(env)
-        return [row(i) for i in range(n)]
+        """The value on each of the batch's ``n`` rows, column-at-a-time
+        (only once :meth:`columnar` has said yes for this batch)."""
+        assert self._vector is not None
+        return self._vector(env, n)
 
     def select(self, env: Env, n: int) -> List[int]:
         """Positions whose value is strictly True (WHERE), in row order."""
