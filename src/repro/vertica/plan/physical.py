@@ -1155,7 +1155,7 @@ def _row_values(
             slot: List[Any] = []
             out.append(slot)
             row_major.append((slot, item.bind(env)))
-    for i in range(n):
+    for i in range(n if row_major else 0):
         for slot, evaluate in row_major:
             slot.append(evaluate(i))
     return out
@@ -1300,7 +1300,7 @@ def _sort_keys(
             slot: List[Any] = []
             out.append(slot)
             row_major.append((slot, expression.bind(env)))
-    for i in range(n):
+    for i in range(n if row_major else 0):
         for slot, row in row_major:
             try:
                 slot.append(row(i))
