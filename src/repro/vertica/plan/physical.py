@@ -12,7 +12,7 @@ scan hands out the ROS container's own lists when every row is visible.
 delete vector and the transaction's staged deletes, a hash-range mask
 from ``row_hashes``, then slices of only the columns the plan needs
 (whole lists when nothing is masked), then this transaction's WOS rows.
-Small containers are coalesced into batches of at least
+Consecutive small containers of one node share a batch of up to about
 :data:`BATCH_ROWS` rows.  ``CostReport.scanned`` is charged once per
 container.  ``DmlScanOp`` uses the same scan and builds a row dict only
 for a row that matches, because UPDATE assigns from it and staging
