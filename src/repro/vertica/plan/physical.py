@@ -687,7 +687,8 @@ class _EquiJoinOp(PhysicalOperator):
     @staticmethod
     def _keys(batch: ColumnBatch, refs: List[str]) -> List[Any]:
         """One join key per row: the value itself for a single key column,
-        else a tuple; rows with a NULL key never match (see _matchable)."""
+        else a tuple; rows with a NULL or NaN key never match (see
+        _matchable)."""
         if not batch.num_rows:
             return []
         if len(refs) == 1:
@@ -696,7 +697,12 @@ class _EquiJoinOp(PhysicalOperator):
 
     @staticmethod
     def _matchable(key: Any, composite: bool) -> bool:
-        return not (None in key if composite else key is None)
+        # SQL ``=`` is never true for NULL, nor for NaN (even the same NaN
+        # object), while dict lookup and tuple equality pair a NaN object
+        # with itself: such keys are dropped before building or sorting.
+        if composite:
+            return all(value is not None and value == value for value in key)
+        return key is not None and key == key
 
     def _charge_shuffle(
         self, build_nodes: List[str], probe_nodes: List[str]
@@ -754,8 +760,8 @@ class _EquiJoinOp(PhysicalOperator):
                 table[key] = [index]
             else:
                 bucket.append(index)
-        # NULL never equi-matches: drop NULL build keys, and a probe key
-        # holding a NULL then finds no bucket.
+        # NULL and NaN never equi-match: drop such build keys, and a probe
+        # key holding one then finds no bucket.
         for key in [k for k in table if not self._matchable(k, composite)]:
             del table[key]
         buckets = list(map(table.get, probe_keys))
@@ -767,12 +773,6 @@ class _EquiJoinOp(PhysicalOperator):
     def _merge_pairs(
         self, left_keys: List[Any], right_keys: List[Any], composite: bool
     ) -> List[Tuple[int, int]]:
-        if not composite:
-            # Merge over 1-tuples: tuple equality's identity shortcut keeps
-            # a NaN key equal to itself, so every group loop advances.
-            left_keys = [(key,) for key in left_keys]
-            right_keys = [(key,) for key in right_keys]
-            composite = True
         left_keyed = self._sorted_keys(left_keys, composite)
         right_keyed = self._sorted_keys(right_keys, composite)
         pairs: List[Tuple[int, int]] = []
