@@ -26,18 +26,13 @@ what a prepared-statement workload shows up as.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import telemetry
 from repro.cache.keys import canonical_sql, canonical_tokens, statement_shape
 
-#: default entry cap for each level (parsed statements, optimized plans).
-#: A repeated statement skips the lexer and parser only while it is still
-#: cached, and a session with fresh literals in its statements cycles
-#: through entries as fast as the executor runs them: sized for a few
-#: thousand distinct statements (a parsed SELECT plus its plan is about
-#: 7 KB, so a full cache of them is about 14 MB).
-DEFAULT_PLAN_CACHE_ENTRIES = 2048
+#: default entry cap for each level (parsed statements, optimized plans)
+DEFAULT_PLAN_CACHE_ENTRIES = 256
 
 PlanKey = Tuple[str, int, str, bool, int]
 
@@ -57,12 +52,22 @@ class PlanCache:
         self._shapes: Dict[str, int] = {}
 
     # -- parse level ------------------------------------------------------------
-    def parse(self, sql: str, parser: Any) -> Any:
+    def parse(
+        self,
+        sql: str,
+        parser: Any,
+        retained: Optional[Callable[[str], Any]] = None,
+    ) -> Any:
         """Parse ``sql`` through the cache; stamps normalization keys.
 
         ``parser`` is the real parser entry point
         (:func:`~repro.vertica.sql.parser.parse_statement`), injected so
-        this package stays import-light.
+        this package stays import-light.  ``retained`` maps a canonical
+        statement to a parsed form another tier still holds (the result
+        cache keeps the statement of every resident entry, see
+        :meth:`~repro.cache.result.ResultCache.statement`): a statement
+        that fell out of this LRU but can still be answered from the
+        result cache is served without parsing.
         """
         canonical = canonical_sql(sql)
         statement = self._parsed.get(canonical)
@@ -70,6 +75,12 @@ class PlanCache:
             self._parsed.move_to_end(canonical)
             telemetry.counter(f"{self.name}.parse_hits").inc()
             return statement
+        if retained is not None:
+            statement = retained(canonical)
+            if statement is not None:
+                telemetry.counter(f"{self.name}.parse_hits").inc()
+                telemetry.counter(f"{self.name}.parse_retained").inc()
+                return statement
         telemetry.counter(f"{self.name}.parse_misses").inc()
         statement = parser(sql)
         self._stamp(statement, canonical, statement_shape(sql))

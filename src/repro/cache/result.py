@@ -83,7 +83,8 @@ class MemoryAccount:
 class CachedResult:
     """One memoised SELECT: columns, rows, and its cost attribution."""
 
-    __slots__ = ("columns", "rows", "cost_snapshot", "nbytes", "hits")
+    __slots__ = ("columns", "rows", "cost_snapshot", "statement", "nbytes",
+                 "hits")
 
     def __init__(
         self,
@@ -94,6 +95,9 @@ class CachedResult:
         self.columns = list(columns)
         self.rows = list(rows)
         self.cost_snapshot = cost_snapshot
+        #: the parsed statement of the first hit (see ResultCache.statement);
+        #: not charged to the byte budget
+        self.statement: Any = None
         self.nbytes = rows_nbytes(self.rows) + rows_nbytes([tuple(self.columns)])
         self.hits = 0
 
@@ -109,6 +113,8 @@ class ResultCache:
         self.budget_bytes = budget_bytes
         self.name = name
         self._entries: "OrderedDict[CacheKey, CachedResult]" = OrderedDict()
+        #: statement digest -> [parsed statement, resident entries holding it]
+        self._statements: Dict[str, List[Any]] = {}
         self.used_bytes = 0
         self._account: Optional[MemoryAccount] = None
         self._reserved_mb = 0
@@ -142,14 +148,27 @@ class ResultCache:
 
     # -- core operations --------------------------------------------------------
     def lookup(
-        self, digest: str, epoch: int, catalog_version: int
+        self,
+        digest: str,
+        epoch: int,
+        catalog_version: int,
+        statement: Any = None,
     ) -> Optional[CachedResult]:
+        """The resident entry, or None.
+
+        A hit keeps ``statement`` (the parsed statement being answered)
+        reachable through :meth:`statement` while the entry is resident.
+        """
         entry = self._entries.get((digest, epoch, catalog_version))
         if entry is None:
             telemetry.counter(f"{self.name}.misses").inc()
             return None
         self._entries.move_to_end((digest, epoch, catalog_version))
         entry.hits += 1
+        if statement is not None and entry.statement is None:
+            entry.statement = statement
+            pin = self._statements.setdefault(digest, [statement, 0])
+            pin[1] += 1
         telemetry.counter(f"{self.name}.hits").inc()
         return entry
 
@@ -166,7 +185,7 @@ class ResultCache:
         key = (digest, epoch, catalog_version)
         old = self._entries.pop(key, None)
         if old is not None:
-            self.used_bytes -= old.nbytes
+            self._remove(key, old)
         entry = CachedResult(columns, rows, snapshot_cost(cost))
         if entry.nbytes > self.budget_bytes:
             telemetry.counter(f"{self.name}.rejected").inc()
@@ -194,16 +213,39 @@ class ResultCache:
         telemetry.counter(f"{self.name}.bypass").inc()
         telemetry.counter(f"{self.name}.bypass.{reason}").inc()
 
+    def statement(self, digest: str) -> Optional[Any]:
+        """The parsed statement of a resident, already hit entry for
+        ``digest``.
+
+        The plan cache's parse level asks for it on a miss, so a result
+        that is being reused never costs a re-parse, however many other
+        statements cycled through the parse LRU since.  Only entries
+        that were hit keep one: a workload of one-shot statements holds
+        no extra parsed statements.
+        """
+        pin = self._statements.get(digest)
+        return None if pin is None else pin[0]
+
     def clear(self) -> None:
         self._entries.clear()
+        self._statements.clear()
         self.used_bytes = 0
         self._sync_account(0)
         self._observe()
 
     def _evict_one(self) -> None:
-        __, entry = self._entries.popitem(last=False)
-        self.used_bytes -= entry.nbytes
+        key, entry = self._entries.popitem(last=False)
+        self._remove(key, entry)
         telemetry.counter(f"{self.name}.evictions").inc()
+
+    def _remove(self, key: CacheKey, entry: CachedResult) -> None:
+        """Release an entry that already left ``_entries``."""
+        self.used_bytes -= entry.nbytes
+        if entry.statement is not None:
+            pin = self._statements[key[0]]
+            pin[1] -= 1
+            if not pin[1]:
+                del self._statements[key[0]]
 
     def _observe(self) -> None:
         telemetry.gauge(f"{self.name}.bytes").set(self.used_bytes)

@@ -618,7 +618,9 @@ class Engine:
         if cacheable:
             from repro.cache.result import replay_cost
 
-            entry = cache.lookup(canonical, snapshot, db.catalog.version)
+            entry = cache.lookup(
+                canonical, snapshot, db.catalog.version, statement
+            )
             if entry is not None:
                 replay_cost(entry.cost_snapshot, cost)
                 cost.cache_hit = True

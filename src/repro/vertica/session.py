@@ -110,8 +110,11 @@ class Session:
         # The plan cache's parse level memoises the parsed AST under the
         # canonical statement text (and stamps the normalization keys the
         # plan/result tiers share), so a repeated statement skips the
-        # lexer and parser entirely.
-        statement = self.database.plan_cache.parse(sql, parse_statement)
+        # parser; a statement the result cache still answers keeps its
+        # parsed form there.
+        statement = self.database.plan_cache.parse(
+            sql, parse_statement, self.database.result_cache.statement
+        )
 
         if isinstance(statement, ast.BeginTransaction):
             if self.in_transaction:

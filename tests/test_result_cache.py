@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.cache import ResultCache
+from repro.cache import PlanCache, ResultCache, canonical_sql
 from repro.sim import Environment
 from repro.telemetry import MetricsRegistry
 from repro.vertica import VerticaDatabase
+from repro.vertica.engine import CostReport
 from repro.vertica.errors import SqlError
 from repro.wlm import AdmissionController, ResourcePool
 
@@ -108,6 +109,26 @@ class TestHitPath:
         counters = registry.snapshot().counters
         assert counters["vertica.cache.result.hits"] >= 1
         assert counters["vertica.cache.result.stores"] >= 1
+
+
+    def test_hit_skips_the_parser_after_parse_eviction(self, monkeypatch):
+        # A hit entry keeps its parsed statement: a repeat whose text fell
+        # out of the parse LRU is answered without parsing again.
+        db, session = make_db()
+        db.plan_cache = PlanCache(capacity=1)
+        cold = session.execute(QUERY)
+        assert db.result_cache.statement(canonical_sql(QUERY)) is None
+        session.execute(QUERY)
+        session.execute("SELECT COUNT(*) FROM metrics")
+        assert canonical_sql(QUERY) not in db.plan_cache._parsed
+
+        def no_parse(sql):
+            raise AssertionError(f"parsed again: {sql}")
+
+        monkeypatch.setattr("repro.vertica.session.parse_statement", no_parse)
+        warm = session.execute(QUERY)
+        assert warm.cost.cache_hit is True
+        assert_same_result(warm, cold)
 
 
 class TestSessionToggle:
@@ -242,6 +263,25 @@ class TestEviction:
         assert cache.used_bytes <= cache.budget_bytes
         counters = registry.snapshot().counters
         assert counters["vertica.cache.result.evictions"] >= 2
+
+    def test_statement_lives_as_long_as_its_entries(self):
+        cache = ResultCache()
+        statement = object()
+        for epoch in (1, 2, 3):
+            cache.store("Q", epoch, 0, ["c"], [(epoch,)], CostReport())
+        assert cache.statement("Q") is None  # stored, never hit
+        for epoch in (1, 2, 2):
+            cache.lookup("Q", epoch, 0, statement)
+        assert cache.statement("Q") is statement
+        cache.store("Q", 2, 0, ["c"], [(2,)], CostReport())  # drops a pin
+        assert cache.keys() == [("Q", 3, 0), ("Q", 1, 0), ("Q", 2, 0)]
+        cache._evict_one()  # epoch 3, never hit
+        assert cache.statement("Q") is statement
+        cache._evict_one()  # epoch 1, the last pin
+        assert cache.statement("Q") is None
+        cache.lookup("Q", 3, 0, statement)
+        cache.clear()
+        assert cache.statement("Q") is None
 
     def test_oversized_result_refused(self, registry):
         db, session = make_db()
