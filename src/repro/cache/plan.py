@@ -44,30 +44,28 @@ class PlanCache:
         self,
         capacity: int = DEFAULT_PLAN_CACHE_ENTRIES,
         name: str = "vertica.cache.plan",
+        retained: Optional[Callable[[str], Any]] = None,
     ):
         self.capacity = capacity
         self.name = name
+        #: canonical statement -> a parsed form another tier still holds
+        #: (see parse), or None
+        self.retained = retained
         self._parsed: "OrderedDict[str, Any]" = OrderedDict()
         self._plans: "OrderedDict[PlanKey, Any]" = OrderedDict()
         self._shapes: Dict[str, int] = {}
 
     # -- parse level ------------------------------------------------------------
-    def parse(
-        self,
-        sql: str,
-        parser: Any,
-        retained: Optional[Callable[[str], Any]] = None,
-    ) -> Any:
+    def parse(self, sql: str, parser: Any) -> Any:
         """Parse ``sql`` through the cache; stamps normalization keys.
 
         ``parser`` is the real parser entry point
         (:func:`~repro.vertica.sql.parser.parse_statement`), injected so
-        this package stays import-light.  ``retained`` maps a canonical
-        statement to a parsed form another tier still holds (the result
-        cache keeps the statement of every resident entry, see
-        :meth:`~repro.cache.result.ResultCache.statement`): a statement
-        that fell out of this LRU but can still be answered from the
-        result cache is served without parsing.
+        this package stays import-light.  On a miss, ``retained`` is
+        asked first: the database wires it to the result cache, which
+        keeps the parsed statement of every entry in reuse (see
+        :meth:`~repro.cache.result.ResultCache.statement`), so such a
+        statement is served without parsing after it left this LRU.
         """
         canonical = canonical_sql(sql)
         statement = self._parsed.get(canonical)
@@ -75,8 +73,8 @@ class PlanCache:
             self._parsed.move_to_end(canonical)
             telemetry.counter(f"{self.name}.parse_hits").inc()
             return statement
-        if retained is not None:
-            statement = retained(canonical)
+        if self.retained is not None:
+            statement = self.retained(canonical)
             if statement is not None:
                 telemetry.counter(f"{self.name}.parse_hits").inc()
                 telemetry.counter(f"{self.name}.parse_retained").inc()

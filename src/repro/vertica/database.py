@@ -64,7 +64,7 @@ class VerticaDatabase:
         self.join_strategy = "auto"
         #: prepared-statement / optimized-plan cache (always on: keyed by
         #: canonical text + catalog version, so reuse is always exact)
-        self.plan_cache = PlanCache()
+        self.plan_cache = PlanCache(retained=self._reused_statement)
         #: server-side result cache, keyed by (digest, epoch, catalog version)
         self.result_cache = ResultCache()
         #: default RESULT_CACHE setting new sessions start with; individual
@@ -84,6 +84,14 @@ class VerticaDatabase:
         from repro.vertica.tuplemover import TupleMover
 
         self.tuple_mover = TupleMover(self)
+
+    def _reused_statement(self, canonical: str) -> Optional[ast.Select]:
+        """The parsed statement the result cache keeps for ``canonical``.
+
+        Read through ``self`` on every call: callers may swap in another
+        ``result_cache``.
+        """
+        return self.result_cache.statement(canonical)
 
     # -- topology ------------------------------------------------------------
     def buddy_of(self, node: str) -> str:

@@ -110,11 +110,9 @@ class Session:
         # The plan cache's parse level memoises the parsed AST under the
         # canonical statement text (and stamps the normalization keys the
         # plan/result tiers share), so a repeated statement skips the
-        # parser; a statement the result cache still answers keeps its
+        # parser; a statement the result cache keeps answering keeps its
         # parsed form there.
-        statement = self.database.plan_cache.parse(
-            sql, parse_statement, self.database.result_cache.statement
-        )
+        statement = self.database.plan_cache.parse(sql, parse_statement)
 
         if isinstance(statement, ast.BeginTransaction):
             if self.in_transaction:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.cache import PlanCache, ResultCache, canonical_sql
+from repro.cache import ResultCache, canonical_sql
 from repro.sim import Environment
 from repro.telemetry import MetricsRegistry
 from repro.vertica import VerticaDatabase
@@ -115,7 +115,7 @@ class TestHitPath:
         # A hit entry keeps its parsed statement: a repeat whose text fell
         # out of the parse LRU is answered without parsing again.
         db, session = make_db()
-        db.plan_cache = PlanCache(capacity=1)
+        db.plan_cache.capacity = 1
         cold = session.execute(QUERY)
         assert db.result_cache.statement(canonical_sql(QUERY)) is None
         session.execute(QUERY)
