@@ -106,3 +106,97 @@ class TestFairness:
             [(0.0, small, None), (0.0, small * 10, None)]
         )
         assert finishes[0] < finishes[1]
+
+
+# ------------------------------------------------- exact fair-share rates
+def frozen_assign_rates(flow_set):
+    """``Network._assign_rates`` as it stood before incremental counts.
+
+    Verbatim apart from taking the flow set as an argument: every flow's
+    rate must come out bit-identical from the live implementation, because
+    simulated seconds (and the benchmark's sim references) are built from
+    them.
+    """
+    import math
+
+    from repro.sim.network import _EPS
+
+    links = {}
+    for flow in flow_set:
+        flow.rate = 0.0
+        for link in flow.route:
+            links.setdefault(link, []).append(flow)
+
+    remaining = {link: link.capacity for link in links}
+    unfrozen = set(flow_set)
+
+    while unfrozen:
+        bottleneck_rate = math.inf
+        bottleneck_link = None
+        capped_flow = None
+        for link, flows in links.items():
+            count = sum(1 for f in flows if f in unfrozen)
+            if count == 0:
+                continue
+            share = remaining[link] / count
+            if share < bottleneck_rate - _EPS:
+                bottleneck_rate = share
+                bottleneck_link = link
+                capped_flow = None
+        for flow in unfrozen:
+            if flow.cap is not None and flow.cap < bottleneck_rate - _EPS:
+                bottleneck_rate = flow.cap
+                bottleneck_link = None
+                capped_flow = flow
+
+        if capped_flow is not None:
+            frozen = [capped_flow]
+        elif bottleneck_link is not None:
+            frozen = [f for f in links[bottleneck_link] if f in unfrozen]
+        else:  # pragma: no cover - defensive: no links and no caps
+            frozen = list(unfrozen)
+            bottleneck_rate = 0.0
+
+        for flow in frozen:
+            flow.rate = max(0.0, bottleneck_rate)
+            unfrozen.discard(flow)
+            for link in flow.route:
+                remaining[link] = max(0.0, remaining[link] - flow.rate)
+
+
+capacities = st.one_of(
+    st.sampled_from([0.0, 1.0, 3.0, 125e6, 1e9 / 3]),
+    st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+)
+flow_specs = st.lists(
+    st.tuples(
+        # route: link indices, repeats allowed (a flow crossing a link twice)
+        st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=4),
+        st.one_of(st.none(), st.sampled_from([1.0, 9e6, 40e6, 1e-12]),
+                  st.floats(min_value=1e-6, max_value=1e9)),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+class TestExactRates:
+    @given(st.lists(capacities, min_size=8, max_size=8), flow_specs)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_rates_equal_the_frozen_allocation(self, caps, specs):
+        from repro.sim.kernel import Event
+        from repro.sim.network import Flow
+
+        env = Environment()
+        net = Network(env)
+        links = [Link(env, f"l{i}", 1.0) for i in range(8)]
+        for link, capacity in zip(links, caps):
+            link.set_capacity(capacity)
+        for index, (route, cap) in enumerate(specs):
+            net._flows.add(Flow(f"f{index}", [links[i] for i in route],
+                                100.0, cap, Event(env)))
+        net._assign_rates()
+        got = [(flow.name, flow.rate) for flow in net._flows]
+        frozen_assign_rates(net._flows)
+        want = [(flow.name, flow.rate) for flow in net._flows]
+        assert got == want
