@@ -10,6 +10,8 @@ needs:
   with JSON round-trips,
 - :mod:`repro.avrolite.codec` — null and deflate block codecs,
 - :mod:`repro.avrolite.io` — zigzag/varint binary encoding and decoding,
+  with each schema compiled once into a codec of per-kind closures that
+  encode and decode whole columns and row blocks,
 - :mod:`repro.avrolite.container` — blocked object container files with
   sync markers.
 """

@@ -7,7 +7,11 @@ byte size, compressed data, sync marker)``.  The sync marker is derived
 deterministically from the schema so files are reproducible byte-for-byte.
 
 ``encode_rows``/``decode_rows`` are the convenience entry points the S2V
-connector and the COPY parser use.
+connector and the COPY parser use.  Blocks are encoded and decoded a
+block at a time by the schema's compiled codec (see
+:mod:`repro.avrolite.io`): a record block is built column by column and
+interleaved into row order, and decoded row by row with one closure per
+field.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import hashlib
 from typing import Any, Iterable, Iterator, List, Optional, Sequence
 
 from repro.avrolite.codec import compress_block, decompress_block
-from repro.avrolite.io import BinaryDecoder, BinaryEncoder, DatumReader, DatumWriter
+from repro.avrolite.io import BinaryDecoder, BinaryEncoder, compile_schema
 from repro.avrolite.schema import Schema, SchemaError
 
 MAGIC = b"Obj\x01"
@@ -42,11 +46,12 @@ class ContainerWriter:
         self.schema = schema
         self.codec = codec
         self.block_rows = block_rows
-        self._writer = DatumWriter(schema)
+        self._encode_block = compile_schema(schema).encode_column
         self._sync = _sync_marker(schema, codec)
         self._header = self._build_header()
         self._blocks: List[bytes] = []
-        self._pending = BinaryEncoder()
+        #: encoded rows of the block being filled, one piece per chunk
+        self._pending: List[bytes] = []
         self._pending_rows = 0
         self.rows_written = 0
 
@@ -66,27 +71,33 @@ class ContainerWriter:
         return enc.getvalue()
 
     def append(self, datum: Any) -> None:
-        self._writer.write(datum, self._pending)
-        self._pending_rows += 1
-        self.rows_written += 1
-        if self._pending_rows >= self.block_rows:
-            self._flush_block()
+        self.extend([datum])
 
     def extend(self, data: Iterable[Any]) -> None:
-        for datum in data:
-            self.append(datum)
+        """Encode rows now, a block's worth (or what it has room for) at a
+        time; row encodings concatenate, so chunking never shows."""
+        rows = data if isinstance(data, list) else list(data)
+        start = 0
+        while start < len(rows):
+            chunk = rows[start : start + self.block_rows - self._pending_rows]
+            self._pending.append(self._encode_block(chunk))
+            self._pending_rows += len(chunk)
+            self.rows_written += len(chunk)
+            start += len(chunk)
+            if self._pending_rows >= self.block_rows:
+                self._flush_block()
 
     def _flush_block(self) -> None:
         if self._pending_rows == 0:
             return
-        payload = compress_block(self.codec, self._pending.getvalue())
+        payload = compress_block(self.codec, b"".join(self._pending))
         enc = BinaryEncoder()
         enc.write_long(self._pending_rows)
         enc.write_long(len(payload))
         enc.write_raw(payload)
         enc.write_raw(self._sync)
         self._blocks.append(enc.getvalue())
-        self._pending = BinaryEncoder()
+        self._pending = []
         self._pending_rows = 0
 
     def getvalue(self) -> bytes:
@@ -119,9 +130,10 @@ class ContainerReader:
         self.codec = meta.get("avro.codec", b"null").decode()
         self._sync = dec.read_raw(16)
         self._dec = dec
-        self._reader = DatumReader(self.schema)
+        self._decode_block = compile_schema(self.schema).decode_column
 
-    def __iter__(self) -> Iterator[Any]:
+    def blocks(self) -> Iterator[List[Any]]:
+        """Each block's decoded rows, one list per block."""
         dec = self._dec
         while not dec.exhausted:
             count = dec.read_long()
@@ -129,12 +141,17 @@ class ContainerReader:
             payload = decompress_block(self.codec, dec.read_raw(size))
             if dec.read_raw(16) != self._sync:
                 raise SchemaError("sync marker mismatch (corrupt container)")
-            block = BinaryDecoder(payload)
-            for __ in range(count):
-                yield self._reader.read(block)
+            yield self._decode_block(payload, 0, count)[0]
+
+    def __iter__(self) -> Iterator[Any]:
+        for rows in self.blocks():
+            yield from rows
 
     def read_all(self) -> List[Any]:
-        return list(self)
+        out: List[Any] = []
+        for rows in self.blocks():
+            out.extend(rows)
+        return out
 
 
 def encode_rows(

@@ -17,6 +17,7 @@ reproduce the Figure 9 dimensionality effect.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Optional, Sequence
 
 from repro.spark.row import StructType
@@ -99,6 +100,36 @@ class VerticaCostModel:
 
     def jdbc_row_bytes(self, row: Sequence[Any]) -> int:
         return sum(self.jdbc_value_bytes(v) for v in row)
+
+    def jdbc_rows_bytes(self, rows: Sequence[Sequence[Any]]) -> int:
+        """``sum(jdbc_row_bytes(row) for row in rows)``, a column at a time.
+
+        Integer sums are exact in any order, so each result column is
+        charged by counting its values per exact class: a fixed width
+        times the count for NULL, BOOLEAN, FLOAT and INTEGER, and the
+        UTF-8 length of the joined strings plus one delimiter each for
+        VARCHAR.  Other classes (and rows of uneven width) fall back to
+        :meth:`jdbc_value_bytes` per value.
+        """
+        if not rows:
+            return 0
+        width = len(rows[0])
+        if any(len(row) != width for row in rows):
+            return sum(self.jdbc_row_bytes(row) for row in rows)
+        fixed = {type(None): 1, bool: self.jdbc_bool_bytes,
+                 float: self.jdbc_float_bytes, int: self.jdbc_int_bytes}
+        total = 0
+        for column in zip(*rows):
+            for klass, count in Counter(map(type, column)).items():
+                if klass in fixed:
+                    total += fixed[klass] * count
+                elif klass is str:
+                    text = "".join(v for v in column if type(v) is str)
+                    total += len(text.encode("utf-8")) + count
+                else:
+                    total += sum(self.jdbc_value_bytes(v) for v in column
+                                 if type(v) is klass)
+        return total
 
     def jdbc_schema_row_bytes(self, schema: StructType, avg_string: int = 60) -> int:
         """Estimated wire width of one row of ``schema``."""

@@ -256,8 +256,12 @@ class SimVerticaConnection:
                     pending.append(env.process(node.compute(seconds)))
 
         # Wire bytes: textual JDBC encoding of the actual result rows,
-        # attributed to producing nodes proportionally.
-        total_wire = float(sum(model.jdbc_row_bytes(row) for row in result.rows))
+        # attributed to producing nodes proportionally.  Every wire charge
+        # below is multiplied by ``w_out``; at zero (staged exports, whose
+        # rows leave as files) the sum cannot change any of them.
+        total_wire = (
+            float(model.jdbc_rows_bytes(result.rows)) if w_out else 0.0
+        )
         total_binary = sum(cost.node_output_bytes.values()) or 1.0
         for node_name, binary_bytes in cost.node_output_bytes.items():
             share = total_wire * (binary_bytes / total_binary)

@@ -4,17 +4,34 @@ Layout: magic, schema JSON (reusing the Avro-like schema language), row
 count, then one deflate-compressed column chunk per field.  This is the
 format Spark's native HDFS source reads/writes in the Figure 12 baseline
 ("Spark's native read/write methods for parquet files using DataFrames").
+
+Chunks are encoded and decoded a whole column at a time by each field's
+compiled codec (:mod:`repro.avrolite.io`): fixed-width columns pack and
+unpack with one ``struct`` call per chunk, so a file costs little more
+than its zlib pass.  Writing gathers column ``i`` from every row, then
+encodes it; if either step raises, the column is redone row by row, so
+the error is the one the first bad row of the first bad column raises.
 """
 
 from __future__ import annotations
 
 import zlib
+from operator import itemgetter
 from typing import Any, List, Sequence, Tuple
 
-from repro.avrolite.io import BinaryDecoder, BinaryEncoder, DatumReader, DatumWriter
+from repro.avrolite.io import BinaryDecoder, BinaryEncoder, compile_schema
 from repro.avrolite.schema import Schema, SchemaError
 
 MAGIC = b"PQL1"
+
+
+def _encode_column(schema: Schema, rows: Sequence[Any], position: int) -> bytes:
+    codec = compile_schema(schema)
+    try:
+        return codec.encode_column(list(map(itemgetter(position), rows)))
+    except Exception:  # noqa: BLE001 - redone row by row for the exact error
+        encode = codec.encode_values
+        return b"".join(encode([row[position]])[0] for row in rows)
 
 
 def write_columnar(schema: Schema, rows: Sequence[Tuple[Any, ...]]) -> bytes:
@@ -27,11 +44,8 @@ def write_columnar(schema: Schema, rows: Sequence[Tuple[Any, ...]]) -> bytes:
     header.write_long(len(rows))
     chunks: List[bytes] = []
     for position, (name, field_schema) in enumerate(schema.fields):
-        writer = DatumWriter(field_schema)
-        enc = BinaryEncoder()
-        for row in rows:
-            writer.write(row[position], enc)
-        compressed = zlib.compress(enc.getvalue(), 6)
+        compressed = zlib.compress(
+            _encode_column(field_schema, rows, position), 6)
         chunk_header = BinaryEncoder()
         chunk_header.write_string(name)
         chunk_header.write_long(len(compressed))
@@ -53,11 +67,12 @@ def _read_frame(dec: BinaryDecoder) -> Tuple[Schema, List[Tuple[Any, ...]]]:
             )
         size = dec.read_long()
         payload = zlib.decompress(dec.read_raw(size))
-        reader = DatumReader(field_schema)
-        chunk_dec = BinaryDecoder(payload)
-        columns.append([reader.read(chunk_dec) for __ in range(nrows)])
-    rows = [tuple(column[i] for column in columns) for i in range(nrows)]
-    return schema, rows
+        column, __ = compile_schema(field_schema).decode_column(
+            payload, 0, nrows)
+        columns.append(column)
+    if not columns:
+        return schema, [()] * max(0, nrows)
+    return schema, list(zip(*columns))
 
 
 def read_columnar(data: bytes) -> Tuple[Schema, List[Tuple[Any, ...]]]:

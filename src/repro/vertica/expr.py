@@ -15,6 +15,10 @@ The builtin function table includes ``HASH`` (Vertica's segmentation hash,
 the basis of the connector's locality-aware queries) and
 ``SYNTHETIC_HASH`` (a whole-row hash the connector uses to parallelise
 loads of views and unsegmented tables).
+
+INTEGER arithmetic stays inside 64 bits: an integer result of ``+ - * /``
+or unary minus outside int64 raises :class:`TypeMismatchError`, the
+error storing such a value raises.
 """
 
 from __future__ import annotations
@@ -22,8 +26,12 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.vertica.errors import SqlError
+from repro.vertica.errors import SqlError, TypeMismatchError
 from repro.vertica.hashring import vertica_hash
+
+#: INTEGER is 64-bit: arithmetic results outside this range are refused
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
 
 Row = Dict[str, Any]
 #: column name -> that column's values (one batch of rows)
@@ -191,16 +199,29 @@ class BinaryOp(Expression):
         return f"({self.left.sql()} {self.op} {self.right.sql()})"
 
 
+def check_int64(value: Any) -> Any:
+    """``value``, unless it is an integer outside INTEGER's 64 bits.
+
+    Arithmetic on INTEGERs must not leave int64 (Python ints would simply
+    grow): the result is refused with the same typed error that storing
+    it (UPDATE, INSERT) raises.
+    """
+    if type(value) is int and not INT64_MIN <= value <= INT64_MAX:
+        raise TypeMismatchError(f"{value} out of INTEGER range")
+    return value
+
+
 def _binary(op: str, left: Any, right: Any) -> Any:
     """Arithmetic or comparison on two evaluated operands."""
     if op in _ARITHMETIC:
         try:
-            return _ARITHMETIC[op](left, right)
+            result = _ARITHMETIC[op](left, right)
         except TypeError:
             raise SqlError(
                 f"invalid operands to {op!r}: {type(left).__name__} "
                 f"and {type(right).__name__}"
             ) from None
+        return check_int64(result)
     if op in _COMPARISON:
         if left is None or right is None:
             return None
@@ -258,7 +279,7 @@ def _unary(op: str, value: Any) -> Any:
         return None
     if op == "NOT":
         return not value
-    return -value if op == "-" else +value
+    return check_int64(-value) if op == "-" else +value
 
 
 class IsNull(Expression):

@@ -14,6 +14,7 @@ byte encoding, folded into a 32-bit ring.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.vertica.errors import CatalogError
@@ -65,6 +66,27 @@ def vertica_hash(*values: Any) -> int:
         raise TypeError("vertica_hash requires at least one value")
     data = b"\x1f".join(_canonical_bytes(v) for v in values)
     return _fnv1a(data) % HASH_SPACE
+
+
+def _canonical_column(values: Sequence[Any]) -> List[bytes]:
+    """``[_canonical_bytes(v) for v in values]``, by class for the common
+    all-INTEGER and all-VARCHAR columns."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return [b"\x02" + str(v).encode() for v in values]
+    if kinds == {str}:
+        return [b"\x04" + v.encode("utf-8") for v in values]
+    return list(map(_canonical_bytes, values))
+
+
+def hash_columns(columns: Sequence[Sequence[Any]]) -> List[int]:
+    """``vertica_hash(*row)`` for each row of equally long ``columns``."""
+    if not columns:
+        raise TypeError("vertica_hash requires at least one value")
+    encoded = [_canonical_column(column) for column in columns]
+    data = encoded[0] if len(encoded) == 1 else map(b"\x1f".join,
+                                                    zip(*encoded))
+    return [_fnv1a(item) % HASH_SPACE for item in data]
 
 
 class Segment:
@@ -128,6 +150,13 @@ class HashRing:
             if segment.contains(hash_value % HASH_SPACE):
                 return segment.node
         raise CatalogError(f"hash {hash_value} outside ring")  # pragma: no cover
+
+    def nodes_for(self, hashes: Sequence[int]) -> List[str]:
+        """``[node_for(h) for h in hashes]`` by binary search over the
+        segment bounds (the ring is sorted and gap-free)."""
+        bounds = [segment.lo for segment in self.segments]
+        nodes = [segment.node for segment in self.segments]
+        return [nodes[bisect_right(bounds, h % HASH_SPACE) - 1] for h in hashes]
 
     def segment_for_node(self, node: str) -> Segment:
         for segment in self.segments:

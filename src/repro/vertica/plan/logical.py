@@ -62,6 +62,9 @@ class TableScan(RelationNode):
         self.predicate: Optional[Expression] = None
         #: segment restriction extracted from the WHERE clause
         self.hash_range: Optional[HashRange] = None
+        #: top-level WHERE conjuncts ``hash_range`` fully absorbed; the
+        #: scan's hash mask decides them, so they are not evaluated
+        self.hash_conjuncts: List[Expression] = []
         #: pruned column subset; None means all table columns
         self.columns: Optional[List[str]] = None
         #: DML matching scans read every physical copy and skip pruning

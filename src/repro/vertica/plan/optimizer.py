@@ -12,7 +12,10 @@ Rules run in a fixed order and record their names in
    WHERE clause (as parsed, not the folded copy — folding could make new
    conjuncts recognisable and change which segments the legacy
    interpreter would have scanned, breaking byte-identical CostReports)
-   restricts the FROM table's scan to intersecting segments.
+   restricts the FROM table's scan to intersecting segments.  The
+   conjuncts the range fully absorbed are recorded on the scan: its row
+   mask over stored hashes decides them, so the scan's compiled
+   predicate leaves them out (EXPLAIN still shows the whole predicate).
 3. **predicate pushdown** — with a single-table FROM (no joins), the
    Filter node collapses into the scan, which applies the predicate
    row-wise while batching.  Views and system tables keep their Filter
@@ -32,7 +35,7 @@ from dataclasses import replace as dc_replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import telemetry
-from repro.vertica.engine import HASH_SPACE, extract_hash_range
+from repro.vertica.engine import HASH_SPACE, split_hash_range
 from repro.vertica.errors import VerticaError
 from repro.vertica.expr import (
     Between,
@@ -224,10 +227,11 @@ def _tighten_hash_range(plan: LogicalPlan) -> bool:
     scan = _from_scan(plan)
     if scan is None or scan.for_update:
         return False
-    hash_range = extract_hash_range(
+    hash_range, absorbed = split_hash_range(
         plan.pristine_where, scan.table.segmentation_columns
     )
     scan.hash_range = hash_range
+    scan.hash_conjuncts = absorbed
     return not hash_range.is_full
 
 
@@ -391,6 +395,8 @@ def _never_raises(
     column-at-a-time, and two more shapes qualify: ``+ - *`` over operands
     of one numeric class (int with int, float with float), usable
     wherever a column is, and ``BETWEEN`` over one comparable family.
+    (An int result can still leave int64; the executor checks each such
+    column and re-evaluates an overflowing batch row by row.)
     The optimizer never passes ``exact``, so its plans are unaffected.
     """
     if isinstance(expr, (Literal, ColumnRef)):

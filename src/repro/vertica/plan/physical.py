@@ -12,6 +12,8 @@ scan hands out the ROS container's own lists when every row is visible.
 delete vector and the transaction's staged deletes, a hash-range mask
 from ``row_hashes``, then slices of only the columns the plan needs
 (whole lists when nothing is masked), then this transaction's WOS rows.
+The hash mask decides the ``HASH(seg) <op> n`` conjuncts the range
+absorbed, so the scan's predicate is compiled without them.
 Consecutive small containers of one node share a batch of up to about
 :data:`BATCH_ROWS` rows.  ``CostReport.scanned`` is charged once per
 container.  ``DmlScanOp`` uses the same scan and builds a row dict only
@@ -81,7 +83,11 @@ from repro.vertica.engine import CostReport, ScanChunk, _value_bytes
 from repro.vertica.errors import SqlError
 from repro.vertica.expr import BinaryOp, ColumnRef, Expression, predicate_holds
 from repro.vertica.plan import logical
-from repro.vertica.plan.compiled import CompiledExpr, column_classes
+from repro.vertica.plan.compiled import (
+    CompiledExpr,
+    column_classes,
+    without_conjuncts,
+)
 from repro.vertica.plan.optimizer import _rebuild_and, _split_and
 from repro.vertica.sql import ast_nodes as ast
 from repro.vertica.storage import RosContainer, take
@@ -303,9 +309,12 @@ class TableScanOp(PhysicalOperator):
         names = list(plain)
         if node.qualify:
             names += [f"{node.alias}.{c}" for c in plain]
+        # The hash mask of ``scan_chunks`` decides the HASH bounds the
+        # range absorbed, so only the rest of the predicate is evaluated.
+        residual = without_conjuncts(node.predicate, node.hash_conjuncts)
         predicate = (
-            CompiledExpr(node.predicate, column_classes(node))
-            if node.predicate is not None
+            CompiledExpr(residual, column_classes(node))
+            if residual is not None
             else None
         )
         scanned_before = self.cost.rows_scanned

@@ -181,8 +181,9 @@ def load_direct(cluster, dataset: Dataset, table: str,
         session.execute(dataset.create_table_sql(table, varchar_length))
         txn = db.begin()
         names = [f.name.upper() for f in dataset.schema.fields]
-        rows = [dict(zip(names, row)) for row in dataset.rows]
-        db.engine.insert_rows(table.upper(), rows, txn)
+        columns = zip(*dataset.rows) if dataset.rows else [[] for __ in names]
+        db.engine.insert_rows(
+            table.upper(), dict(zip(names, map(list, columns))), txn)
         txn.commit(db.storage)
     finally:
         session.close()

@@ -7,7 +7,12 @@ here as the **differential oracle**: ``tests/test_plan_differential.py``
 asserts the pipeline produces byte-identical results (rows, columns, and
 every CostReport field) for randomly generated queries.
 
-Do not "fix" behaviour here; its quirks are the specification.
+Do not "fix" behaviour here; its quirks are the specification.  Its
+expression evaluation is the shared :mod:`repro.vertica.expr`, so it is
+deliberately stricter than the original in one way: INTEGER ``+ - * /``
+and unary minus results outside int64 raise ``TypeMismatchError`` (the
+original returned the unbounded Python integer, which no column could
+store and the codecs refuse).
 """
 
 from __future__ import annotations

@@ -243,6 +243,17 @@ class TestGate:
         failures = compare_artifacts(fresh, baseline)
         assert len(failures) == 1 and "under the floor" in failures[0]
 
+    def test_floor_fraction_is_relative_to_each_baseline_cell(self, tmp_path):
+        baseline = tiny_artifact(tmp_path)
+        baseline["gate"] = {"floor_fractions": {"rows_per_sec": 0.5}}
+        baseline["cells"][1]["metrics"]["rows_per_sec"] = 8000
+        fresh = copy.deepcopy(baseline)
+        fresh["cells"][0]["metrics"]["rows_per_sec"] = 1000   # half of 2000
+        fresh["cells"][1]["metrics"]["rows_per_sec"] = 3999   # under 4000
+        failures = compare_artifacts(fresh, baseline)
+        assert len(failures) == 1
+        assert "under the floor 4000.0" in failures[0]
+
     def test_unfinished_or_missing_cells_fail(self, tmp_path):
         baseline = tiny_artifact(tmp_path)
         fresh = copy.deepcopy(baseline)

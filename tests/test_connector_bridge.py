@@ -6,6 +6,8 @@ observable in isolation on the simulated clock.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.connector import SimVerticaCluster, VerticaCostModel
 from repro.sim import Environment
@@ -175,3 +177,25 @@ class TestDataCharges:
         count = run(env, driver())
         assert count == 1
         assert env.now >= 1.0  # had to wait for the lock holder
+
+
+class _Label(str):
+    """A str subclass: charged per value, like any class not counted."""
+
+
+@given(st.lists(st.lists(st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(max_size=6), st.builds(_Label, st.text(max_size=3)),
+    st.binary(max_size=3)), min_size=3, max_size=3), max_size=12),
+    st.booleans())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_result_wire_bytes_by_column_equal_the_per_value_sum(rows, ragged):
+    """``jdbc_rows_bytes`` charges a result a column at a time; the total
+    must be the per-row, per-value sum exactly (uneven rows included)."""
+    from repro.connector.costmodel import PAPER_COST_MODEL
+
+    if ragged and rows:
+        rows[0] = rows[0][:1]
+    model = PAPER_COST_MODEL
+    assert model.jdbc_rows_bytes(rows) == sum(
+        model.jdbc_row_bytes(row) for row in rows)

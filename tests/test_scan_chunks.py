@@ -60,7 +60,8 @@ def stage_transaction(data, db):
             label="wos rows",
         )
         db.engine.insert_rows(
-            "T", [{"ID": i, "V": i % 4, "S": "w"} for i in rows], txn
+            "T", {"ID": rows, "V": [i % 4 for i in rows], "S": ["w"] * len(rows)},
+            txn,
         )
     containers = [
         container

@@ -265,3 +265,49 @@ class TestErrors:
     def test_expression_parser_rejects_trailing(self):
         with pytest.raises(SqlError):
             parse_expression("1 + 1 extra extra")
+
+
+class TestDepthLimits:
+    """Deep input is a typed SqlError, never a RecursionError."""
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT " + "(" * 3000 + "1" + ")" * 3000,
+        "SELECT " + "NOT " * 3000 + "TRUE",
+        "SELECT " + "- " * 3000 + "1",
+        "SELECT " + "-(" * 1500 + "1" + ")" * 1500,
+        "SELECT " + "ABS(" * 500 + "1" + ")" * 500,
+        "SELECT " + " + ".join(["1"] * 3000),
+        "SELECT * FROM t WHERE " + " AND ".join(["a = 1"] * 3000),
+        "SELECT * FROM t WHERE a IN (" + "(" * 3000 + "1" + ")" * 3000 + ")",
+    ])
+    def test_too_deep_is_a_sql_error(self, sql):
+        with pytest.raises(SqlError, match="too deep"):
+            parse_statement(sql)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT " + "(" * 60 + "1" + ")" * 60,
+        "SELECT " + "NOT " * 60 + "TRUE",
+        "SELECT " + "- " * 60 + "1",
+        "SELECT " + " + ".join(["1"] * 200),
+        "SELECT * FROM t WHERE a IN (" + ", ".join(["1"] * 5000) + ")",
+    ])
+    def test_deep_but_within_limits_parses(self, sql):
+        parse_statement(sql)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT " + "(" * 60 + "a" + ")" * 60 + " FROM t",
+        "SELECT " + "NOT " * 60 + "TRUE",
+        "SELECT " + "- " * 60 + "a FROM t",
+        "SELECT " + " + ".join(["a"] * 250) + " FROM t",
+        "SELECT a FROM t WHERE " + " AND ".join(["a = 1"] * 120),
+    ])
+    def test_limits_leave_room_to_execute(self, sql):
+        from repro.vertica import VerticaDatabase
+
+        db = VerticaDatabase(num_nodes=2)
+        session = db.connect()
+        session.execute("CREATE TABLE t (a INTEGER) SEGMENTED BY HASH(a) "
+                        "ALL NODES")
+        session.execute("INSERT INTO t VALUES (1), (2)")
+        session.execute(sql)
+        session.execute("EXPLAIN " + sql)
